@@ -74,42 +74,57 @@ class DeformationParams:
 def _log_expm1(x: np.ndarray) -> np.ndarray:
     """ln(e^x - 1) for x > 0, stable for both tiny and huge arguments."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     big = x > 33.0
+    if not big.any():
+        with np.errstate(divide="ignore"):
+            return np.log(np.expm1(x))
+    out = np.empty_like(x)
     out[big] = x[big] + np.log1p(-np.exp(-x[big]))
     with np.errstate(divide="ignore"):
         out[~big] = np.log(np.expm1(x[~big]))
     return out
 
 
-def log_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
-    """ln [j] for j = 0..n_max (index 0 holds -inf since [0] = 0)."""
+def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int) -> np.ndarray:
+    """ln [j] for j = 0..n_max, one row per epsilon (column 0 holds -inf).
+
+    Every row is bit-identical to evaluating that epsilon alone: the
+    per-epsilon constants go through scalar math.log1p/math.log, and the
+    rest is elementwise.
+    """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    eps = params.epsilon
-    j = np.arange(1, n_max + 1, dtype=float)
-    out = np.full(n_max + 1, -np.inf)
+    eps = np.asarray(eps, dtype=float)
+    out = np.full((eps.size, n_max + 1), -np.inf)
     if n_max == 0:
         return out
-    if eps == 0.0:
-        out[1:] = np.log(j)
-        return out
-    L = math.log1p(eps)
-    if params.kind is DeformationKind.M:
-        u = j * L
-        if eps > 0.0:
-            out[1:] = _log_expm1(u) - math.log(eps)
-        else:
-            out[1:] = np.log(-np.expm1(u)) - math.log(-eps)
+    j = np.arange(1, n_max + 1, dtype=float)
+    zero, pos = eps == 0.0, eps > 0.0
+    neg = ~(zero | pos)
+    L = np.array([math.log1p(e) for e in eps])[:, None]
+    if kind is DeformationKind.M:
+        den = eps
+        x = j * L
     else:
-        v = 2.0 * j * L
-        lead = (1.0 - j) * L
         den = eps * (2.0 + eps)
-        if eps > 0.0:
-            out[1:] = lead + _log_expm1(v) - math.log(den)
-        else:
-            out[1:] = lead + np.log(-np.expm1(v)) - math.log(-den)
+        x = 2.0 * j * L
+    log_den = np.array([math.log(abs(d)) if d else 0.0 for d in den])[:, None]
+    if pos.all():
+        body = _log_expm1(x)
+    else:
+        body = np.zeros_like(x)
+        body[pos] = _log_expm1(x[pos])
+        body[neg] = np.log(-np.expm1(x[neg]))
+    if kind is DeformationKind.P:
+        body = (1.0 - j) * L + body
+    out[:, 1:] = body - log_den
+    out[zero, 1:] = np.log(j)
     return out
+
+
+def log_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
+    """ln [j] for j = 0..n_max (index 0 holds -inf since [0] = 0)."""
+    return _log_q_rows(params.kind, np.array([params.epsilon]), n_max)[0]
 
 
 def log_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:

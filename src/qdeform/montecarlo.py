@@ -7,6 +7,17 @@ known value, and the empirical estimator variance across replications is
 compared against the Cramer-Rao prediction 1/(M F), with F the Fisher
 information of that same fixed-intensity family.
 
+Lockstep fits: crb_benchmark runs the golden-section searches of all its
+replications together.  Each step evaluates every still-active replication,
+each at its own epsilon, as one (rows x support) array of log-probabilities;
+the 9-point coarse scan and the first two golden points are the same for
+every replication, so they are computed once.  mle_epsilon is the same
+search with one sample.  Batching must not change a single bit: with
+xtol = 1e-10 the search resolves epsilon below the likelihood's rounding
+floor, so a re-associated sum would move the estimates.  Every row is
+therefore computed exactly as a lone evaluation would be, and each
+replication's log-likelihood is its own sparse dot counts @ ln p[observed].
+
 Reproducibility: replication streams are derived from the root seed by
 counter (one 64-bit sub-seed per replication index), so identical inputs
 give bit-identical benchmarks.
@@ -17,12 +28,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
-from .errors import BenchmarkError, DomainError, OutOfSupportError
+from .errors import BenchmarkError, DivergenceError, DomainError, OutOfSupportError
 from .estimation import (
     PROB_FLOOR,
     DerivativeConfig,
@@ -34,8 +45,9 @@ from .states import (
     PhotonDistribution,
     ProbeSpec,
     ThermalSpec,
+    _check_normalizable,
+    _fixed_support_log_prob_rows,
     build_distribution,
-    fixed_support_log_probs,
 )
 
 __all__ = [
@@ -51,6 +63,7 @@ __all__ = [
 
 _LOG_SUPPORT_FLOOR = math.log(1e-300)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ROW_BUDGET = 1 << 18  # array elements per kernel call
 
 
 @dataclass(frozen=True)
@@ -116,21 +129,153 @@ def _counts_arrays(sample: CountSample) -> Tuple[np.ndarray, np.ndarray]:
     return ns, cs
 
 
-def _loglik_fixed(
-    ns: np.ndarray,
-    cs: np.ndarray,
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    epsilon: float,
-    n_support: int,
-) -> float:
-    lp = fixed_support_log_probs(spec, DeformationParams(kind, epsilon), n_support)[ns]
-    if np.any(lp < _LOG_SUPPORT_FLOOR):
-        bad = int(ns[int(np.argmin(lp))])
-        raise OutOfSupportError(
-            f"observed outcome n={bad} has probability below 1e-300 at epsilon={epsilon}"
-        )
-    return float(cs @ lp)
+class _Likelihoods:
+    """Fixed-support log-likelihoods of several count samples, row-batched.
+
+    Sample r is scored over its own support, max(n_support, largest observed
+    n).  A call computes each distinct (support, epsilon) row of
+    log-probabilities once, then takes each sample's own sparse dot
+    counts @ ln p[observed].
+    """
+
+    def __init__(
+        self,
+        spec: ProbeSpec,
+        kind: DeformationKind,
+        samples: Sequence[Tuple[np.ndarray, np.ndarray]],
+        n_support: int,
+    ) -> None:
+        self.spec, self.kind, self.samples = spec, kind, samples
+        self.supports = np.array([max(n_support, int(ns[-1])) for ns, _ in samples])
+        self.failures: Dict[int, RuntimeError] = {}
+
+    def __call__(self, eps: np.ndarray, reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Log-likelihood of sample reps[i] at eps[i], and whether it exists.
+
+        Where it does not, the DivergenceError or OutOfSupportError goes to
+        self.failures, which keeps each sample's earliest failing row.
+        """
+        values = np.full(len(reps), np.nan)
+        errors: List[Optional[RuntimeError]] = [None] * len(reps)
+        if len(reps):
+            try:
+                # Divergent epsilons form a half-line: the smallest one decides.
+                _check_normalizable(self.spec, DeformationParams(self.kind, float(eps.min())))
+            except DivergenceError:
+                for i, e in enumerate(eps):
+                    try:
+                        _check_normalizable(self.spec, DeformationParams(self.kind, float(e)))
+                    except DivergenceError as exc:
+                        errors[i] = exc
+        ok = np.array([err is None for err in errors], dtype=bool)
+        supports = self.supports[reps]
+        for n in np.unique(supports[ok]).tolist():
+            rows = np.flatnonzero(ok & (supports == n))
+            uniq, which = np.unique(eps[rows], return_inverse=True)
+            chunk = max(1, _ROW_BUDGET // (n + 1))
+            for start in range(0, len(uniq), chunk):
+                lp = _fixed_support_log_prob_rows(
+                    self.spec, self.kind, uniq[start:start + chunk], n)
+                here = (which >= start) & (which < start + chunk)
+                for i, u in zip(rows[here].tolist(), (which[here] - start).tolist()):
+                    ns, cs = self.samples[reps[i]]
+                    lp_obs = lp[u, ns]
+                    if lp_obs.min() < _LOG_SUPPORT_FLOOR:
+                        errors[i] = OutOfSupportError(
+                            f"observed outcome n={int(ns[int(np.argmin(lp_obs))])} has "
+                            f"probability below 1e-300 at epsilon={float(eps[i])}"
+                        )
+                    else:
+                        values[i] = float(cs @ lp_obs)
+        for i, err in enumerate(errors):
+            if err is not None:
+                self.failures.setdefault(int(reps[i]), err)
+        return values, np.array([err is None for err in errors], dtype=bool)
+
+
+def _golden_section(
+    loglik: _Likelihoods, a: float, b: float, xtol: float, max_iter: int
+) -> List[Optional[MleResult]]:
+    """Golden-section maximization of every sample's likelihood on [a, b], in lockstep.
+
+    Each sample follows exactly the iterates of a lone search; one whose
+    likelihood fails anywhere gets None (the error is in loglik.failures).
+    """
+    count = len(loglik.samples)
+    alive = np.ones(count, dtype=bool)
+
+    def shared(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every sample at each point: (count, len(points)) values and ok flags."""
+        values, ok = loglik(np.tile(points, count), np.repeat(np.arange(count), len(points)))
+        values, ok = values.reshape(count, -1), ok.reshape(count, -1)
+        alive[:] = ok.all(axis=1)
+        return values, ok
+
+    if a == b:
+        values, _ = shared(np.array([a]))
+        return [MleResult(a, float(values[r, 0]), True, 0) if alive[r] else None
+                for r in range(count)]
+
+    c0, d0 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    coarse = np.linspace(a, b, 9)
+    values, ok = shared(np.append(coarse, [c0, d0]))
+    coarse_ll = values[:, :9]
+    peaks = sum(
+        (coarse_ll[:, i] >= coarse_ll[:, i - 1]) & (coarse_ll[:, i] >= coarse_ll[:, i + 1])
+        for i in range(1, 8)
+    )
+    for _ in np.flatnonzero(ok[:, :9].all(axis=1) & (peaks > 1)):
+        warnings.warn("log-likelihood appears non-unimodal on the bracket",
+                      RuntimeWarning, stacklevel=3)
+
+    lo, hi = np.full(count, a), np.full(count, b)
+    c, d = np.full(count, c0), np.full(count, d0)
+    fc, fd = values[:, 9].copy(), values[:, 10].copy()
+    iterations = np.zeros(count, dtype=int)
+    while True:
+        active = np.flatnonzero(alive & ((hi - lo) > xtol) & (iterations < max_iter))
+        if not active.size:
+            break
+        left = fc[active] >= fd[active]
+        i, j = active[left], active[~left]
+        hi[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = hi[i] - _GOLDEN * (hi[i] - lo[i])
+        lo[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = lo[j] + _GOLDEN * (hi[j] - lo[j])
+        new, ok = loglik(np.where(left, c[active], d[active]), active)
+        alive[active] = ok
+        fc[i], fd[j] = new[left], new[~left]
+        iterations[active] += 1
+
+    converged = (hi - lo) <= xtol
+    eps_hat = 0.5 * (lo + hi)
+    ids = np.flatnonzero(alive)
+    ll_hat = np.full(count, np.nan)
+    ll_hat[ids], alive[ids] = loglik(eps_hat[ids], ids)
+    best = np.argmax(coarse_ll, axis=1)
+    results: List[Optional[MleResult]] = [None] * count
+    for r in np.flatnonzero(alive).tolist():
+        e, v = float(eps_hat[r]), float(ll_hat[r])
+        if coarse_ll[r, best[r]] > v:
+            e, v = float(coarse[best[r]]), float(coarse_ll[r, best[r]])
+        results[r] = MleResult(e, v, bool(converged[r]), int(iterations[r]))
+    return results
+
+
+def _bracket_support(spec: ProbeSpec, kind: DeformationKind, a: float, b: float,
+                     tol: float) -> int:
+    """Outcome support certified at both bracket ends (the slower decay wins)."""
+    return max(build_distribution(spec, DeformationParams(kind, e), tol).n_max
+               for e in (a, b))
+
+
+def _ordered_bracket(bracket: Tuple[float, float]) -> Tuple[float, float]:
+    a, b = float(bracket[0]), float(bracket[1])
+    if a > b:
+        a, b = b, a
+    if a <= -1.0:
+        raise DomainError(f"bracket must lie inside epsilon > -1, got {bracket}")
+    return a, b
 
 
 def log_likelihood(
@@ -143,8 +288,11 @@ def log_likelihood(
     """Sum of counts[n] ln p_n(epsilon), with support sized to the sample."""
     ns, cs = _counts_arrays(sample)
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    n_support = max(dist.n_max, int(ns[-1]))
-    return _loglik_fixed(ns, cs, spec, kind, epsilon, n_support)
+    loglik = _Likelihoods(spec, kind, [(ns, cs)], dist.n_max)
+    (value,), (ok,) = loglik(np.array([float(epsilon)]), np.array([0]))
+    if not ok:
+        raise loglik.failures[0]
+    return float(value)
 
 
 def log_likelihood_gradient(
@@ -184,64 +332,14 @@ def mle_epsilon(
     epsilon.  A coarse 9-point scan warns (but does not fail) when the
     objective looks non-unimodal; the best point found is still returned.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if a > b:
-        a, b = b, a
-    if a <= -1.0:
-        raise DomainError(f"bracket must lie inside epsilon > -1, got {bracket}")
-    ns, cs = _counts_arrays(sample)
+    a, b = _ordered_bracket(bracket)
     if n_support is None:
-        n_support = max(
-            build_distribution(spec, DeformationParams(kind, a), tol).n_max,
-            build_distribution(spec, DeformationParams(kind, b), tol).n_max,
-            int(ns[-1]),
-        )
-    n_support = max(n_support, int(ns[-1]))
-
-    cache: Dict[float, float] = {}
-
-    def ll(e: float) -> float:
-        if e not in cache:
-            cache[e] = _loglik_fixed(ns, cs, spec, kind, e, n_support)
-        return cache[e]
-
-    if a == b:
-        return MleResult(a, ll(a), True, 0)
-
-    coarse = np.linspace(a, b, 9)
-    coarse_ll = np.array([ll(float(e)) for e in coarse])
-    peaks = sum(
-        1
-        for i in range(1, 8)
-        if coarse_ll[i] >= coarse_ll[i - 1] and coarse_ll[i] >= coarse_ll[i + 1]
-    )
-    if peaks > 1:
-        warnings.warn("log-likelihood appears non-unimodal on the bracket",
-                      RuntimeWarning, stacklevel=2)
-
-    lo, hi = a, b
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = ll(c), ll(d)
-    iterations = 0
-    while (hi - lo) > xtol and iterations < max_iter:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = ll(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = ll(d)
-        iterations += 1
-    converged = (hi - lo) <= xtol
-    eps_hat = 0.5 * (lo + hi)
-    ll_hat = ll(eps_hat)
-    best_coarse = int(np.argmax(coarse_ll))
-    if coarse_ll[best_coarse] > ll_hat:
-        eps_hat = float(coarse[best_coarse])
-        ll_hat = float(coarse_ll[best_coarse])
-    return MleResult(eps_hat, ll_hat, converged, iterations)
+        n_support = _bracket_support(spec, kind, a, b, tol)
+    loglik = _Likelihoods(spec, kind, [_counts_arrays(sample)], n_support)
+    (result,) = _golden_section(loglik, a, b, xtol, max_iter)
+    if result is None:
+        raise loglik.failures[0]
+    return result
 
 
 def _min_admissible_epsilon(spec: ProbeSpec, kind: DeformationKind) -> float:
@@ -300,26 +398,15 @@ def crb_benchmark(
         hi = min(epsilon_true + half, 0.5)
         bracket = (lo, hi)
 
+    a, b = _ordered_bracket(bracket)
     dist = build_distribution(spec, DeformationParams(kind, epsilon_true), tol)
-    n_support = max(
-        build_distribution(spec, DeformationParams(kind, bracket[0]), tol).n_max,
-        build_distribution(spec, DeformationParams(kind, bracket[1]), tol).n_max,
-    )
+    n_support = _bracket_support(spec, kind, a, b, tol)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, np.uint64)
-    estimates = []
-    failed = 0
-    for i in range(replications):
-        sample = sample_counts(dist, shots, int(rep_seeds[i]))
-        try:
-            result = mle_epsilon(sample, spec, kind, bracket, tol=tol,
-                                 n_support=n_support)
-        except (OutOfSupportError, RuntimeError):
-            failed += 1
-            continue
-        if not result.converged:
-            failed += 1
-            continue
-        estimates.append(result.epsilon_hat)
+    samples = [_counts_arrays(sample_counts(dist, shots, int(s))) for s in rep_seeds]
+    results = _golden_section(_Likelihoods(spec, kind, samples, n_support), a, b,
+                              xtol=1e-10, max_iter=200)
+    estimates = [r.epsilon_hat for r in results if r is not None and r.converged]
+    failed = replications - len(estimates)
     if failed / replications >= 0.05:
         raise BenchmarkError(
             f"{failed}/{replications} replications failed; benchmark aborted"

@@ -23,17 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .algebra import (
-    DeformationKind,
-    DeformationParams,
-    gamma_values,
-    log_delta_values,
-)
+from .algebra import DeformationKind, DeformationParams, _log_q_rows
 from .errors import DivergenceError, DomainError
 
 __all__ = [
@@ -137,35 +131,43 @@ class AmplitudeVector:
     spec: ProbeSpec
 
 
-def _coherent_logw(spec: CoherentSpec, params: DeformationParams) -> Callable[[int], np.ndarray]:
-    lx = math.log(spec.alpha_sq)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """ln sum exp(a) along the last axis, with scipy.special.logsumexp's formula.
 
-    def logw(n_max: int) -> np.ndarray:
-        n = np.arange(n_max + 1, dtype=float)
-        return n * lx - log_delta_values(params, n_max)
-
-    return logw
-
-
-def _thermal_logw(spec: ThermalSpec, params: DeformationParams) -> Callable[[int], np.ndarray]:
-    beta = spec.beta
-
-    def logw(n_max: int) -> np.ndarray:
-        g = gamma_values(params, n_max + 1)
-        return -(beta / 2.0) * (g[1:] + g[:-1] - 1.0)
-
-    return logw
+    The maxima are split out of the sum, log1p(sum_{a != max} e^(a - max) / m)
+    + ln m + max with m the number of maxima, so results match scipy bit for
+    bit (golden-section MLE resolves epsilon finely enough to see the last
+    bit).
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=-1, keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a - a_max)), axis=-1, keepdims=True)
+        return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
 
 
-def _cat_logw(spec: CatSpec, params: DeformationParams) -> Callable[[int], np.ndarray]:
-    base = _coherent_logw(CoherentSpec(spec.alpha_sq), params)
-
-    def logw(n_max: int) -> np.ndarray:
-        lw = base(n_max)
-        lw[1::2] = -np.inf
-        return lw
-
-    return logw
+def _log_weight_rows(
+    spec: ProbeSpec,
+    kind: DeformationKind,
+    eps: np.ndarray,
+    n_max: int,
+) -> np.ndarray:
+    """Unnormalized ln w_n for n = 0..n_max, one row per epsilon in `eps`."""
+    if isinstance(spec, ThermalSpec):
+        with np.errstate(over="ignore"):
+            g = np.exp(_log_q_rows(kind, eps, n_max + 1))
+            return -(spec.beta / 2.0) * (g[:, 1:] + g[:, :-1] - 1.0)
+    if not isinstance(spec, (CoherentSpec, CatSpec)):
+        raise DomainError(f"unknown probe spec {spec!r}")
+    lq = _log_q_rows(kind, eps, n_max)
+    log_delta = np.zeros_like(lq)
+    log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
+    lnw = np.arange(n_max + 1, dtype=float) * math.log(spec.alpha_sq) - log_delta
+    if isinstance(spec, CatSpec):
+        lnw[:, 1::2] = -np.inf
+    return lnw
 
 
 def _initial_n_max(n0: float) -> int:
@@ -195,9 +197,8 @@ def _certify(lnw_sup: np.ndarray) -> Tuple[float, float]:
 
 
 def _build(
-    logw_fn: Callable[[int], np.ndarray],
-    params: DeformationParams,
     spec: ProbeSpec,
+    params: DeformationParams,
     tol: float,
     n0: float,
     step: int,
@@ -207,13 +208,14 @@ def _build(
     n_max = _initial_n_max(n0)
     while True:
         n_max = min(n_max + n_max % step, HARD_CAP)  # even support needs even n_max
-        lnw = logw_fn(n_max)
+        lnw = _log_weight_rows(spec, params.kind, [params.epsilon], n_max)[0]
         support = np.arange(0, n_max + 1, step)
         lnw_sup = lnw[support]
         peak = float(np.max(lnw_sup))
-        # Trim underflowed tail entries before ratio analysis.
+        # Trim underflowed tail entries before ratio analysis, keeping the
+        # two support points that _certify needs for one ratio.
         keep = np.nonzero(lnw_sup > peak - _UNDERFLOW_LOG)[0]
-        last = int(keep[-1])
+        last = max(int(keep[-1]), 1)
         trimmed = lnw_sup[: last + 1]
         try:
             ln_tail, _ = _certify(trimmed)
@@ -226,7 +228,7 @@ def _build(
                 ) from None
             n_max = min(2 * n_max, HARD_CAP)
             continue
-        ln_total = float(np.logaddexp(logsumexp(trimmed), ln_tail))
+        ln_total = float(np.logaddexp(_logsumexp(trimmed), ln_tail))
         if math.exp(ln_tail - ln_total) <= tol:
             return _finalize(lnw, support[: last + 1], trimmed, ln_tail, ln_total,
                              tol, params, spec)
@@ -302,7 +304,7 @@ def coherent_distribution(
 ) -> Tuple[PhotonDistribution, AmplitudeVector]:
     """Photon distribution and real amplitudes of a deformed coherent state."""
     _check_normalizable(spec, params)
-    dist = _build(_coherent_logw(spec, params), params, spec, tol, spec.alpha_sq, step=1)
+    dist = _build(spec, params, tol, spec.alpha_sq, step=1)
     amps = AmplitudeVector(
         amps=np.sqrt(dist.probs),
         n_max=dist.n_max,
@@ -320,7 +322,7 @@ def thermal_distribution(
 ) -> PhotonDistribution:
     """Photon distribution of a deformed thermal state."""
     _check_normalizable(spec, params)
-    return _build(_thermal_logw(spec, params), params, spec, tol, spec.n_mean, step=1)
+    return _build(spec, params, tol, spec.n_mean, step=1)
 
 
 def cat_distribution(
@@ -333,9 +335,9 @@ def cat_distribution(
     Odd Fock entries vanish identically; even amplitudes are
     2 psi_n / sqrt(W) with W the superposition normalization.
     """
-    _check_normalizable(CoherentSpec(spec.alpha_sq), params)
+    _check_normalizable(spec, params)
     n0 = spec.alpha_sq * math.tanh(spec.alpha_sq)
-    dist = _build(_cat_logw(spec, params), params, spec, tol, n0, step=2)
+    dist = _build(spec, params, tol, n0, step=2)
     _crosscheck_cat_norm(spec, params, dist)
     amps = AmplitudeVector(
         amps=np.sqrt(dist.probs),
@@ -357,9 +359,9 @@ def cat_normalization_crosscheck(
     Returns (from the alternating-sum formula 2[1 + C(-x)/C(x)],
     from direct even-term summation 4 S_even / C(x)).
     """
-    lw = _coherent_logw(CoherentSpec(spec.alpha_sq), params)
-    dist, _ = coherent_distribution(CoherentSpec(spec.alpha_sq), params, tol)
-    lnw = lw(dist.n_max)
+    coherent = CoherentSpec(spec.alpha_sq)
+    dist, _ = coherent_distribution(coherent, params, tol)
+    lnw = _log_weight_rows(coherent, params.kind, [params.epsilon], dist.n_max)[0]
     m = float(np.max(lnw))
     w = np.exp(lnw - m)
     c_plus = float(np.sum(w))
@@ -466,16 +468,27 @@ def fixed_support_log_probs(
     """
     if n_support < 0:
         raise DomainError("n_support must be >= 0")
-    _check_normalizable(
-        CoherentSpec(spec.alpha_sq) if isinstance(spec, CatSpec) else spec, params
-    )
-    if isinstance(spec, CoherentSpec):
-        lnw = _coherent_logw(spec, params)(n_support)
-    elif isinstance(spec, ThermalSpec):
-        lnw = _thermal_logw(spec, params)(n_support)
-    elif isinstance(spec, CatSpec):
-        lnw = _cat_logw(spec, params)(n_support)
-    else:
-        raise DomainError(f"unknown probe spec {spec!r}")
-    finite = lnw[np.isfinite(lnw)]
-    return lnw - float(logsumexp(finite))
+    _check_normalizable(spec, params)
+    return _fixed_support_log_prob_rows(spec, params.kind, [params.epsilon], n_support)[0]
+
+
+def _fixed_support_log_prob_rows(
+    spec: ProbeSpec,
+    kind: DeformationKind,
+    eps: np.ndarray,
+    n_support: int,
+) -> np.ndarray:
+    """fixed_support_log_probs for each epsilon in `eps`, one row each.
+
+    Normalizability is the caller's to check.  Each row is normalized over
+    its finite entries (the even columns for cat states; thermal rows whose
+    gamma overflowed drop those levels), exactly as a single-epsilon call.
+    """
+    lnw = _log_weight_rows(spec, kind, eps, n_support)
+    cols = lnw[:, ::2] if isinstance(spec, CatSpec) else lnw
+    finite = np.isfinite(cols).all(axis=1)
+    norm = np.empty(len(lnw))
+    norm[finite] = _logsumexp(cols[finite])
+    for r in np.flatnonzero(~finite):
+        norm[r] = _logsumexp(lnw[r][np.isfinite(lnw[r])])
+    return lnw - norm[:, None]

@@ -194,6 +194,15 @@ class TestExitCodes:
         assert code == 3
         assert "numerical error" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, eps", [("M", "0"), ("P", "0.1")])
+    def test_near_vacuum_thermal_exit_0(self, capsys, kind, eps):
+        code, out, err = run_cli(capsys, "state", "thermal", "--beta", "700",
+                                 "--kind", kind, "--epsilon", eps)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["n_max"] == 0 and doc["probs"] == [1.0]
+
     def test_missing_required_flag_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "state", "coherent",
                              "--kind", "M", "--epsilon", "0")

@@ -13,6 +13,7 @@ from qdeform.states import (
     CatSpec,
     CoherentSpec,
     ThermalSpec,
+    _logsumexp,
     build_distribution,
     cat_distribution,
     cat_normalization_crosscheck,
@@ -263,6 +264,26 @@ class TestTruncationControls:
         dist = thermal_distribution(spec, pr)
         lp = fixed_support_log_probs(spec, pr, dist.n_max)
         assert np.allclose(lp, dist.log_probs, rtol=0, atol=1e-11)
+
+
+class TestLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(20)
+        for size in (1, 2, 7, 128, 1001):
+            a = rng.normal(scale=50.0, size=size)
+            a[rng.integers(size, size=size // 3)] = a.max()  # ties at the max
+            assert _logsumexp(a) == scipy_special.logsumexp(a)
+            rows = rng.normal(scale=50.0, size=(5, size))
+            rows[1] = rows[1].max()
+            rows[2, ::2] = rows[2].max()
+            expected = scipy_special.logsumexp(rows, axis=1)
+            assert np.array_equal(_logsumexp(rows), expected)
+            for row, value in zip(rows, expected):
+                assert _logsumexp(row) == value
+        infinite = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [np.inf, 0.0]])
+        assert np.array_equal(_logsumexp(infinite),
+                              scipy_special.logsumexp(infinite, axis=1))
 
 
 class TestHighPrecisionOracle:
