@@ -71,17 +71,14 @@ class DeformationParams:
         object.__setattr__(self, "epsilon", eps)
 
 
-def _log_expm1(x: np.ndarray) -> np.ndarray:
-    """ln(e^x - 1) for x > 0, stable for both tiny and huge arguments."""
+def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
+    """ln|e^x - 1|, stable for both tiny and huge arguments."""
     x = np.asarray(x, dtype=float)
-    big = x > 33.0
-    if not big.any():
-        with np.errstate(divide="ignore"):
-            return np.log(np.expm1(x))
     out = np.empty_like(x)
+    big = x > 33.0
     out[big] = x[big] + np.log1p(-np.exp(-x[big]))
     with np.errstate(divide="ignore"):
-        out[~big] = np.log(np.expm1(x[~big]))
+        out[~big] = np.log(np.abs(np.expm1(x[~big])))
     return out
 
 
@@ -99,26 +96,16 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int) -> np.ndarra
     if n_max == 0:
         return out
     j = np.arange(1, n_max + 1, dtype=float)
-    zero, pos = eps == 0.0, eps > 0.0
-    neg = ~(zero | pos)
     L = np.array([math.log1p(e) for e in eps])[:, None]
     if kind is DeformationKind.M:
         den = eps
-        x = j * L
+        body = _log_abs_expm1(j * L)
     else:
         den = eps * (2.0 + eps)
-        x = 2.0 * j * L
+        body = (1.0 - j) * L + _log_abs_expm1(2.0 * j * L)
     log_den = np.array([math.log(abs(d)) if d else 0.0 for d in den])[:, None]
-    if pos.all():
-        body = _log_expm1(x)
-    else:
-        body = np.zeros_like(x)
-        body[pos] = _log_expm1(x[pos])
-        body[neg] = np.log(-np.expm1(x[neg]))
-    if kind is DeformationKind.P:
-        body = (1.0 - j) * L + body
     out[:, 1:] = body - log_den
-    out[zero, 1:] = np.log(j)
+    out[eps == 0.0, 1:] = np.log(j)
     return out
 
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
-from .errors import BenchmarkError, DivergenceError, DomainError, OutOfSupportError
+from .errors import BenchmarkError, DomainError, OutOfSupportError
 from .estimation import (
     PROB_FLOOR,
     DerivativeConfig,
@@ -147,30 +147,20 @@ class _Likelihoods:
     ) -> None:
         self.spec, self.kind, self.samples = spec, kind, samples
         self.supports = np.array([max(n_support, int(ns[-1])) for ns, _ in samples])
-        self.failures: Dict[int, RuntimeError] = {}
+        self.failures: Dict[int, OutOfSupportError] = {}
 
     def __call__(self, eps: np.ndarray, reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Log-likelihood of sample reps[i] at eps[i], and whether it exists.
 
-        Where it does not, the DivergenceError or OutOfSupportError goes to
+        Every eps[i] must be normalizable.  Where an observed outcome falls
+        below the probability floor, the OutOfSupportError goes to
         self.failures, which keeps each sample's earliest failing row.
         """
         values = np.full(len(reps), np.nan)
-        errors: List[Optional[RuntimeError]] = [None] * len(reps)
-        if len(reps):
-            try:
-                # Divergent epsilons form a half-line: the smallest one decides.
-                _check_normalizable(self.spec, DeformationParams(self.kind, float(eps.min())))
-            except DivergenceError:
-                for i, e in enumerate(eps):
-                    try:
-                        _check_normalizable(self.spec, DeformationParams(self.kind, float(e)))
-                    except DivergenceError as exc:
-                        errors[i] = exc
-        ok = np.array([err is None for err in errors], dtype=bool)
+        errors: List[Optional[OutOfSupportError]] = [None] * len(reps)
         supports = self.supports[reps]
-        for n in np.unique(supports[ok]).tolist():
-            rows = np.flatnonzero(ok & (supports == n))
+        for n in np.unique(supports).tolist():
+            rows = np.flatnonzero(supports == n)
             uniq, which = np.unique(eps[rows], return_inverse=True)
             chunk = max(1, _ROW_BUDGET // (n + 1))
             for start in range(0, len(uniq), chunk):
@@ -201,6 +191,9 @@ def _golden_section(
     Each sample follows exactly the iterates of a lone search; one whose
     likelihood fails anywhere gets None (the error is in loglik.failures).
     """
+    # Divergent epsilons form a half-line below some threshold, and every
+    # iterate lies in [a, b], so the whole search is normalizable iff a is.
+    _check_normalizable(loglik.spec, DeformationParams(loglik.kind, a))
     count = len(loglik.samples)
     alive = np.ones(count, dtype=bool)
 

@@ -1,8 +1,9 @@
 """Lockstep batched MLE against the per-replication code it replaced.
 
 The reference oracle below is the one-epsilon-at-a-time implementation:
-log-probabilities from the public algebra vectors, a scalar golden-section
-search with a per-sample cache, and one mle fit per replication.  The
+the scalar q-number code with separate M/P and sign branches,
+log-probabilities built on it, a scalar golden-section search with a
+per-sample cache, and one mle fit per replication.  The
 batched path must agree with it bit for bit, not merely within tolerance.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import qdeform.montecarlo as mc
-from qdeform.algebra import DeformationKind, DeformationParams, gamma_values, log_delta_values
+from qdeform.algebra import DeformationKind, DeformationParams, _log_q_rows
 from qdeform.errors import DivergenceError, OutOfSupportError
 from qdeform.estimation import DerivativeConfig, classical_fisher
 from qdeform.montecarlo import CrbBenchmark, MleResult, crb_benchmark, sample_counts
@@ -38,15 +39,54 @@ NON_UNIMODAL = "log-likelihood appears non-unimodal on the bracket"
 # Reference oracle: the per-replication implementation
 
 
+def ref_log_expm1(x):
+    out = np.empty_like(x)
+    big = x > 33.0
+    out[big] = x[big] + np.log1p(-np.exp(-x[big]))
+    with np.errstate(divide="ignore"):
+        out[~big] = np.log(np.expm1(x[~big]))
+    return out
+
+
+def ref_log_q_number_values(params, n_max):
+    eps = params.epsilon
+    j = np.arange(1, n_max + 1, dtype=float)
+    out = np.full(n_max + 1, -np.inf)
+    if n_max == 0:
+        return out
+    if eps == 0.0:
+        out[1:] = np.log(j)
+        return out
+    L = math.log1p(eps)
+    if params.kind is M:
+        u = j * L
+        if eps > 0.0:
+            out[1:] = ref_log_expm1(u) - math.log(eps)
+        else:
+            out[1:] = np.log(-np.expm1(u)) - math.log(-eps)
+    else:
+        v = 2.0 * j * L
+        lead = (1.0 - j) * L
+        den = eps * (2.0 + eps)
+        if eps > 0.0:
+            out[1:] = lead + ref_log_expm1(v) - math.log(den)
+        else:
+            out[1:] = lead + np.log(-np.expm1(v)) - math.log(-den)
+    return out
+
+
 def ref_log_probs(spec, params, n_support):
     _check_normalizable(spec, params)
     if isinstance(spec, ThermalSpec):
         with np.errstate(over="ignore"):
-            g = gamma_values(params, n_support + 1)
+            g = np.exp(ref_log_q_number_values(params, n_support + 1))
+            g[0] = 0.0
             lnw = -(spec.beta / 2.0) * (g[1:] + g[:-1] - 1.0)
     else:
         n = np.arange(n_support + 1, dtype=float)
-        lnw = n * math.log(spec.alpha_sq) - log_delta_values(params, n_support)
+        log_delta = np.zeros(n_support + 1)
+        log_delta[1:] = np.cumsum(ref_log_q_number_values(params, n_support)[1:])
+        lnw = n * math.log(spec.alpha_sq) - log_delta
         if isinstance(spec, CatSpec):
             lnw[1::2] = -np.inf
     finite = lnw[np.isfinite(lnw)]
@@ -140,6 +180,14 @@ EPSILONS = [-0.3, -1e-4, 0.0, 1e-4, 0.5]  # 0.5 overflows thermal gamma at 1200
 
 
 class TestKernelRows:
+    @pytest.mark.parametrize("n_max", [0, 1, 40, 1200])
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_q_rows_equal_scalar_q_numbers(self, kind, n_max):
+        eps = [-0.3, -1e-4, 0.0, 1e-4, 0.5, 3.0]  # 3.0 takes the x > 33 branch
+        rows = _log_q_rows(kind, np.array(eps), n_max)
+        for row, e in zip(rows, eps):
+            assert np.array_equal(row, ref_log_q_number_values(DeformationParams(kind, e), n_max))
+
     @pytest.mark.parametrize("n_support", [40, 333, 1200])
     @pytest.mark.parametrize("kind", [M, P])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
