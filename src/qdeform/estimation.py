@@ -11,7 +11,10 @@ log-weights; the normalization derivative enters through centering, which
 makes sum_n dp_n = 0 an exact identity (checked at run time).  Because the
 Fock basis is unaffected by the deformation, the QFI of these families
 equals F: for pure real-amplitude probes H = 4 sum_n (d psi_n)^2, and for
-Fock-diagonal mixtures H reduces to the same diagonal sum.
+Fock-diagonal mixtures H reduces to the same diagonal sum.  An analytic
+estimation_report therefore builds its distribution once, computes F once
+and reports it as H as well; qfi_pure and qfi_diagonal keep the separate
+formulas, which the tests compare with F.
 
 Two parametrizations of the epsilon-family are exposed via `hold`:
 
@@ -25,7 +28,8 @@ Two parametrizations of the epsilon-family are exposed via `hold`:
       explores, hence what the Cramer-Rao benchmark must use.
 
 Finite differences (central, with a step-halving Richardson pair) are kept
-as a validation path for the analytic derivatives.
+as a validation path for the analytic derivatives.  One stencil yields both
+F and H there, and estimation_report checks F <= H on that path.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import DeformationKind, DeformationParams, dgamma_values, dlog_delta_values, gamma_values
-from .errors import DerivativeInstabilityError, DomainError
+from .errors import DerivativeInstabilityError, DivergenceError, DomainError
 from .states import (
     CatSpec,
     CoherentSpec,
@@ -64,6 +68,10 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-30
+# Calibration keeps ln(intensity) within +-this bound: inside the float
+# range, and a beta large enough that thermal weights underflow before the
+# level coefficients gamma_n overflow (beta * gamma_n reaches about e^9.8).
+_LN_INTENSITY_BOUND = 700.0
 
 logger = logging.getLogger(__name__)
 
@@ -112,21 +120,27 @@ class EstimationReport:
     m_delta_coeff: float
 
 
-def _raw_scores(dist: PhotonDistribution) -> Tuple[np.ndarray, np.ndarray]:
-    """(d ln w_n / d eps, d ln w_n / d theta) on the distribution support."""
+def _eps_score(dist: PhotonDistribution) -> np.ndarray:
+    """d ln w_n / d eps on the distribution support."""
     spec, params, n_max = dist.spec, dist.params, dist.n_max
-    n = np.arange(n_max + 1, dtype=float)
     if isinstance(spec, (CoherentSpec, CatSpec)):
-        d = -dlog_delta_values(params, n_max)
-        t = n / spec.alpha_sq
-        return d, t
+        return -dlog_delta_values(params, n_max)
     if isinstance(spec, ThermalSpec):
-        g = gamma_values(params, n_max + 1)
         dg = dgamma_values(params, n_max + 1)
         with np.errstate(invalid="ignore"):
-            d = -(spec.beta / 2.0) * (dg[1:] + dg[:-1])
-            t = -(g[1:] + g[:-1] - 1.0) / 2.0
-        return d, t
+            return -(spec.beta / 2.0) * (dg[1:] + dg[:-1])
+    raise DomainError(f"unknown probe spec {spec!r}")
+
+
+def _intensity_score(dist: PhotonDistribution) -> np.ndarray:
+    """d ln w_n / d theta (theta = |alpha|^2 or beta) on the support."""
+    spec, params, n_max = dist.spec, dist.params, dist.n_max
+    if isinstance(spec, (CoherentSpec, CatSpec)):
+        return np.arange(n_max + 1, dtype=float) / spec.alpha_sq
+    if isinstance(spec, ThermalSpec):
+        g = gamma_values(params, n_max + 1)
+        with np.errstate(invalid="ignore"):
+            return -(g[1:] + g[:-1] - 1.0) / 2.0
     raise DomainError(f"unknown probe spec {spec!r}")
 
 
@@ -167,14 +181,15 @@ def _report_dropped(dist: PhotonDistribution, d: np.ndarray, mask: np.ndarray,
 
 def _analytic_score(dist: PhotonDistribution, hold: str, floor: float):
     """Centered epsilon-score on the masked support, per the hold convention."""
-    d, t = _raw_scores(dist)
+    d = _eps_score(dist)
     mask, pm, n = _masked(dist, floor)
     _report_dropped(dist, d, mask, floor)
-    dm, tm = d[mask], t[mask]
+    dm = d[mask]
     if hold == "intensity":
         return pm, dm
     if hold != "mean_photon":
         raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
+    tm = _intensity_score(dist)[mask]
     nc = n - float(pm @ n)
     dc = dm - float(pm @ dm)
     tc = tm - float(pm @ tm)
@@ -195,45 +210,63 @@ def calibrate_intensity(
     rtol: float = 1e-12,
     max_iter: int = 60,
 ) -> ProbeSpec:
-    """Re-solve the intensity parameter so the deformed mean photon number
-    equals mean_target (Newton iteration on |alpha|^2 or beta)."""
+    """Re-solve the intensity parameter theta (|alpha|^2 or beta) so the
+    deformed mean photon number equals mean_target.
+
+    Safeguarded Newton on x = ln theta for ln mean(x) = ln mean_target.  The
+    mean is monotone in theta, so the sign of mean - mean_target at each
+    iterate bounds the root on one side; a Newton step is taken only when
+    it lands strictly inside that bracket, otherwise the bracket is bisected
+    in x.  Raises DomainError when the target lies beyond every float
+    intensity, DivergenceError when the iteration stalls or runs out.
+    """
     if not (math.isfinite(mean_target) and mean_target > 0):
         raise DomainError(f"mean_target must be positive, got {mean_target}")
+    field = "beta" if isinstance(spec, ThermalSpec) else "alpha_sq"
     current = spec
+    lo, hi = -math.inf, math.inf
     for _ in range(max_iter):
         dist = build_distribution(current, params, tol)
         mean = mean_photon(dist)
         if abs(mean - mean_target) <= rtol * max(1.0, mean_target):
             return current
-        _, t = _raw_scores(dist)
         mask, pm, n = _masked(dist, PROB_FLOOR)
-        tc = t[mask] - float(pm @ t[mask])
-        dmean = float(pm @ ((n - float(pm @ n)) * tc))
-        if dmean == 0.0:
-            raise RuntimeError("intensity calibration stalled: flat mean response")
-        if isinstance(current, (CoherentSpec, CatSpec)):
-            new = current.alpha_sq - (mean - mean_target) / dmean
-            if new <= 0:
-                new = current.alpha_sq / 2.0
-            current = replace(current, alpha_sq=new)
+        theta = getattr(current, field)
+        x = math.log(theta)
+        u = theta * _intensity_score(dist)[mask]  # d ln w_n / d x
+        slope = float(pm @ ((n - float(pm @ n)) * (u - float(pm @ u))))  # d mean / d x
+        if not (math.isfinite(slope) and slope != 0.0):
+            raise DivergenceError(
+                f"intensity calibration stalled: flat mean response at {field} = {theta}"
+            )
+        if (mean < mean_target) == (slope > 0.0):
+            lo = x
         else:
-            new = current.beta - (mean - mean_target) / dmean
-            if new <= 0:
-                new = current.beta / 2.0
-            current = replace(current, beta=new)
-    raise RuntimeError(f"intensity calibration did not converge for target {mean_target}")
+            hi = x
+        x_new = x - math.log(mean / mean_target) * mean / slope
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        x_new = min(max(x_new, -_LN_INTENSITY_BOUND), _LN_INTENSITY_BOUND)
+        theta_new = math.exp(x_new)
+        if theta_new == theta:
+            if abs(x_new) == _LN_INTENSITY_BOUND:
+                raise DomainError(
+                    f"mean photon number {mean_target} is out of reach: {field} "
+                    f"would have to leave [e^-{_LN_INTENSITY_BOUND:g}, e^{_LN_INTENSITY_BOUND:g}]"
+                )
+            break  # the bracket has collapsed onto one float
+        current = replace(current, **{field: theta_new})
+    raise DivergenceError(f"intensity calibration did not converge for target {mean_target}")
 
 
 def _fd_probs(
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    epsilon: float,
+    center: PhotonDistribution,
     h: float,
     tol: float,
     hold: str,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Probabilities at eps and the four-point stencil, on a common support."""
-    center = build_distribution(spec, DeformationParams(kind, epsilon), tol)
+    spec, kind, epsilon = center.spec, center.params.kind, center.params.epsilon
     target = mean_photon(center)
     stencil = [epsilon - h, epsilon - h / 2, epsilon + h / 2, epsilon + h]
     specs = []
@@ -243,45 +276,45 @@ def _fd_probs(
         se = calibrate_intensity(spec, pe, target, tol) if hold == "mean_photon" else spec
         specs.append(se)
         n_support = max(n_support, build_distribution(se, pe, tol).n_max)
-    cols = [np.exp(fixed_support_log_probs(spec, DeformationParams(kind, epsilon), n_support))]
+    cols = [np.exp(fixed_support_log_probs(spec, center.params, n_support))]
     for e, se in zip(stencil, specs):
         cols.append(np.exp(fixed_support_log_probs(se, DeformationParams(kind, e), n_support)))
     pc, pm1, pm2, pp2, pp1 = cols
     return pc, pm1, pm2, pp2, pp1
 
 
-def _fd_fisher(spec, kind, epsilon, cfg, tol, hold) -> float:
-    h = cfg.step_for(epsilon)
-    pc, pm1, pm2, pp2, pp1 = _fd_probs(spec, kind, epsilon, h, tol, hold)
+def _fd_information(
+    center: PhotonDistribution,
+    cfg: DerivativeConfig,
+    tol: float,
+    hold: str,
+) -> Tuple[float, float]:
+    """Richardson extrapolants of F = sum dp^2/p and H = 4 sum (d sqrt p)^2
+    from one stencil at steps h and h/2; raises DerivativeInstabilityError
+    when either pair disagrees by more than cfg.richardson_rtol."""
+    h = cfg.step_for(center.params.epsilon)
+    pc, pm1, pm2, pp2, pp1 = _fd_probs(center, h, tol, hold)
     mask = pc > cfg.prob_floor
-    def fi(plus, minus, step):
+
+    def fisher_at(plus, minus, step):
         dp = (plus[mask] - minus[mask]) / (2.0 * step)
         return float(np.sum(dp * dp / pc[mask]))
-    f_h = fi(pp1, pm1, h)
-    f_h2 = fi(pp2, pm2, h / 2)
-    f_rich = (4.0 * f_h2 - f_h) / 3.0
-    if abs(f_h - f_h2) > cfg.richardson_rtol * max(abs(f_rich), 1e-300):
-        raise DerivativeInstabilityError(
-            f"finite-difference Fisher estimates disagree: {f_h} vs {f_h2} at step {h}"
-        )
-    return f_rich
 
-
-def _fd_qfi_pure(spec, kind, epsilon, cfg, tol, hold) -> float:
-    h = cfg.step_for(epsilon)
-    pc, pm1, pm2, pp2, pp1 = _fd_probs(spec, kind, epsilon, h, tol, hold)
-    mask = pc > cfg.prob_floor
     def qfi_at(plus, minus, step):
         dpsi = (np.sqrt(plus[mask]) - np.sqrt(minus[mask])) / (2.0 * step)
         return 4.0 * float(np.sum(dpsi * dpsi))
-    f_h = qfi_at(pp1, pm1, h)
-    f_h2 = qfi_at(pp2, pm2, h / 2)
-    f_rich = (4.0 * f_h2 - f_h) / 3.0
-    if abs(f_h - f_h2) > cfg.richardson_rtol * max(abs(f_rich), 1e-300):
-        raise DerivativeInstabilityError(
-            f"finite-difference QFI estimates disagree: {f_h} vs {f_h2} at step {h}"
-        )
-    return f_rich
+
+    out = []
+    for name, at in (("Fisher", fisher_at), ("QFI", qfi_at)):
+        f_h = at(pp1, pm1, h)
+        f_h2 = at(pp2, pm2, h / 2)
+        f_rich = (4.0 * f_h2 - f_h) / 3.0
+        if abs(f_h - f_h2) > cfg.richardson_rtol * max(abs(f_rich), 1e-300):
+            raise DerivativeInstabilityError(
+                f"finite-difference {name} estimates disagree: {f_h} vs {f_h2} at step {h}"
+            )
+        out.append(f_rich)
+    return out[0], out[1]
 
 
 def classical_fisher(
@@ -294,9 +327,9 @@ def classical_fisher(
 ) -> float:
     """Classical Fisher information of photon counting for estimating epsilon."""
     cfg = deriv or DerivativeConfig()
-    if cfg.method == "fd":
-        return _fd_fisher(spec, kind, epsilon, cfg, tol, hold)
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
+    if cfg.method == "fd":
+        return _fd_information(dist, cfg, tol, hold)[0]
     pm, s = _analytic_score(dist, hold, cfg.prob_floor)
     return _score_variance(pm, s)
 
@@ -313,9 +346,9 @@ def qfi_pure(
     if not isinstance(spec, (CoherentSpec, CatSpec)):
         raise DomainError("qfi_pure applies to pure probes (coherent, cat)")
     cfg = deriv or DerivativeConfig()
-    if cfg.method == "fd":
-        return _fd_qfi_pure(spec, kind, epsilon, cfg, tol, hold)
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
+    if cfg.method == "fd":
+        return _fd_information(dist, cfg, tol, hold)[1]
     pm, s = _analytic_score(dist, hold, cfg.prob_floor)
     sc = s - float(pm @ s)
     dpsi = 0.5 * np.sqrt(pm) * sc  # d psi = psi * (d ln p)/2 for real psi
@@ -398,16 +431,26 @@ def estimation_report(
     tol: float = 1e-12,
     hold: str = "mean_photon",
 ) -> EstimationReport:
-    """Assemble Fisher information, QFI, QSNR, mean photon and M_delta."""
-    fisher = classical_fisher(spec, kind, epsilon, deriv, tol, hold)
-    if isinstance(spec, ThermalSpec):
-        qfi = qfi_diagonal(spec, kind, epsilon, deriv, tol, hold)
-    else:
-        qfi = qfi_pure(spec, kind, epsilon, deriv, tol, hold)
-    if fisher > qfi * (1.0 + 1e-8) + 1e-300:
-        raise RuntimeError(f"classical F = {fisher} exceeds QFI = {qfi}")
-    q = qsnr(epsilon, qfi)
+    """Assemble Fisher information, QFI, QSNR, mean photon and M_delta.
+
+    One build serves every field.  Analytically H is taken as F, the
+    identity for these families; the finite-difference path estimates both
+    from one stencil and checks F <= H.
+    """
+    cfg = deriv or DerivativeConfig()
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
+    if cfg.method == "fd":
+        fisher, qfi = _fd_information(dist, cfg, tol, hold)
+        if isinstance(spec, ThermalSpec):
+            qfi = fisher  # Fock-diagonal: H is the classical sum (qfi_diagonal)
+        if fisher > qfi * (1.0 + 1e-8) + 1e-300:
+            raise DerivativeInstabilityError(
+                f"finite-difference F = {fisher} exceeds QFI = {qfi}"
+            )
+    else:
+        pm, s = _analytic_score(dist, hold, cfg.prob_floor)
+        fisher = qfi = _score_variance(pm, s)
+    q = qsnr(epsilon, qfi)
     return EstimationReport(
         spec=spec,
         kind=kind,

@@ -38,7 +38,7 @@ from .estimation import (
     PROB_FLOOR,
     DerivativeConfig,
     _analytic_score,
-    _raw_scores,
+    _eps_score,
     classical_fisher,
 )
 from .states import (
@@ -304,7 +304,7 @@ def log_likelihood_gradient(
         )
     pm, s = _analytic_score(dist, "intensity", PROB_FLOOR)
     sbar = float(pm @ s)
-    d_full, _ = _raw_scores(dist)
+    d_full = _eps_score(dist)
     return float(cs @ (d_full[ns] - sbar))
 
 

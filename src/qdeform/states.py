@@ -171,6 +171,7 @@ def _log_weight_rows(
 
 
 def _initial_n_max(n0: float) -> int:
+    n0 = min(n0, HARD_CAP)  # beta near 0 puts n0 near the float maximum
     return int(max(16, math.ceil(8.0 * (n0 + math.sqrt(n0)))))
 
 
@@ -333,12 +334,13 @@ def cat_distribution(
     """Photon distribution and amplitudes of an even deformed cat state.
 
     Odd Fock entries vanish identically; even amplitudes are
-    2 psi_n / sqrt(W) with W the superposition normalization.
+    2 psi_n / sqrt(W) with W the superposition normalization.  The build
+    normalizes the even weights directly; the tests check that W agrees
+    with the alternating-sum formula (cat_normalization_crosscheck).
     """
     _check_normalizable(spec, params)
     n0 = spec.alpha_sq * math.tanh(spec.alpha_sq)
     dist = _build(spec, params, tol, n0, step=2)
-    _crosscheck_cat_norm(spec, params, dist)
     amps = AmplitudeVector(
         amps=np.sqrt(dist.probs),
         n_max=dist.n_max,
@@ -371,15 +373,6 @@ def cat_normalization_crosscheck(
     w_formula = 2.0 * (1.0 + c_minus / c_plus)
     w_direct = 4.0 * s_even / c_plus
     return w_formula, w_direct
-
-
-def _crosscheck_cat_norm(spec: CatSpec, params: DeformationParams,
-                         dist: PhotonDistribution) -> None:
-    wf, wd = cat_normalization_crosscheck(spec, params)
-    if abs(wf - wd) > 1e-10 * max(abs(wf), abs(wd)):
-        raise DivergenceError(
-            f"cat normalization cross-check failed: {wf} vs {wd}"
-        )
 
 
 def build_distribution(

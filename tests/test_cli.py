@@ -203,6 +203,30 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["n_max"] == 0 and doc["probs"] == [1.0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_calibration_target_exit_0(self, capsys):
+        # |eps| N = 60: the calibrated beta is about 6e-47, far below the
+        # undeformed starting point ln(1 + 1/200).
+        code, out, err = run_cli(capsys, "qsnr", "--family", "thermal",
+                                 "--kind", "P", "--epsilons", "0.3",
+                                 "--n-values", "200")
+        assert code == 0, err
+        assert err == ""
+        (row,) = json.loads(out)["rows"]
+        assert row["mean_photon"] == pytest.approx(200.0, rel=1e-12)
+        assert row["fisher"] > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_unreachable_calibration_target_exit_2(self, capsys):
+        # The P thermal mean grows only like ln(1/beta); 5000 photons at
+        # eps = 0.3 would need a beta below the float range.
+        code, out, err = run_cli(capsys, "qsnr", "--family", "thermal",
+                                 "--kind", "P", "--epsilons", "0.3",
+                                 "--n-values", "5000")
+        assert code == 2
+        assert out == ""
+        assert "out of reach" in err
+
     def test_missing_required_flag_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "state", "coherent",
                              "--kind", "M", "--epsilon", "0")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qdeform import estimation
 from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DerivativeInstabilityError, DivergenceError, DomainError
 from qdeform.estimation import (
@@ -131,6 +132,43 @@ class TestCalibration:
         with pytest.raises(DomainError):
             calibrate_intensity(CoherentSpec(1.0), DeformationParams(M, 0.0), -2.0)
 
+    @pytest.mark.parametrize("family", ["coherent", "cat", "thermal"])
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_newton_uses_only_the_intensity_score(self, monkeypatch, family, kind):
+        def no_eps_score(*args, **kwargs):
+            raise AssertionError("epsilon score evaluated during calibration")
+
+        monkeypatch.setattr(estimation, "dlog_delta_values", no_eps_score)
+        monkeypatch.setattr(estimation, "dgamma_values", no_eps_score)
+        pr = DeformationParams(kind, 5e-3)
+        spec = calibrate_intensity(spec_for(family, 17.0), pr, 17.0)
+        assert mean_photon(build_distribution(spec, pr)) == pytest.approx(17.0, rel=1e-11)
+
+    def test_far_target_is_bracketed(self):
+        # The P thermal mean grows only like ln(1/beta) (172.7 at 1e-40,
+        # 436.0 at 1e-100), so 200 photons at eps = 0.3 lie 40 decades of
+        # beta below the undeformed start.
+        pr = DeformationParams(P, 0.3)
+        spec = calibrate_intensity(ThermalSpec.from_mean_photon(200.0), pr, 200.0)
+        assert 1e-100 < spec.beta < 1e-40
+        assert mean_photon(build_distribution(spec, pr)) == pytest.approx(200.0, rel=1e-12)
+
+    def test_unreachable_target_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="out of reach"):
+            calibrate_intensity(ThermalSpec.from_mean_photon(5000.0),
+                                DeformationParams(P, 0.3), 5000.0)
+
+    def test_exhausted_iterations_are_a_divergence_error(self):
+        with pytest.raises(DivergenceError, match="did not converge"):
+            calibrate_intensity(ThermalSpec.from_mean_photon(200.0),
+                                DeformationParams(P, 0.3), 200.0, max_iter=2)
+
+    def test_flat_response_is_a_divergence_error(self):
+        # Near the vacuum every level above n = 0 is below the probability
+        # floor, so the mean has no usable slope in beta.
+        with pytest.raises(DivergenceError, match="stalled"):
+            calibrate_intensity(ThermalSpec(beta=700.0), DeformationParams(M, 1e-3), 1.0)
+
 
 class TestLeadingOrderTable:
     def test_pinned_constants(self):
@@ -225,3 +263,58 @@ class TestReport:
         f_cal = classical_fisher(CoherentSpec(n), M, 1e-4)
         f_raw = classical_fisher(CoherentSpec(n), M, 1e-4, hold="intensity")
         assert f_raw / f_cal == pytest.approx(2 * n + 1, rel=0.05)
+
+
+class TestOneBuildReport:
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "build_distribution", counting)
+        return calls
+
+    @pytest.mark.parametrize("family", ["coherent", "cat", "thermal"])
+    @pytest.mark.parametrize("hold", ["mean_photon", "intensity"])
+    def test_analytic_report_builds_once(self, build_calls, family, hold):
+        estimation_report(spec_for(family, 6.0), M, 2e-3, hold=hold)
+        assert len(build_calls) == 1
+
+    @pytest.mark.parametrize("family", ["coherent", "cat", "thermal"])
+    @pytest.mark.parametrize("kind", [M, P])
+    @pytest.mark.parametrize("hold", ["mean_photon", "intensity"])
+    def test_fields_match_the_public_functions(self, family, kind, hold):
+        spec, eps = spec_for(family, 6.0), 2e-3
+        report = estimation_report(spec, kind, eps, hold=hold)
+        assert report.fisher == classical_fisher(spec, kind, eps, hold=hold)
+        dist = build_distribution(spec, DeformationParams(kind, eps))
+        assert report.mean_photon == mean_photon(dist)
+        assert report.qfi == report.fisher
+        qfi = qfi_diagonal if family == "thermal" else qfi_pure
+        assert qfi(spec, kind, eps, hold=hold) == pytest.approx(report.qfi, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["coherent", "thermal"])
+    def test_fd_report_takes_one_stencil(self, monkeypatch, family):
+        stencil_rows = []
+        real = estimation.fixed_support_log_probs
+
+        def counting(*args, **kwargs):
+            stencil_rows.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "fixed_support_log_probs", counting)
+        spec, fd = spec_for(family, 6.0), DerivativeConfig(method="fd")
+        report = estimation_report(spec, M, 1e-3, fd, hold="intensity")
+        assert len(stencil_rows) == 5
+        qfi = qfi_diagonal if family == "thermal" else qfi_pure
+        assert report.fisher == classical_fisher(spec, M, 1e-3, fd, hold="intensity")
+        assert report.qfi == qfi(spec, M, 1e-3, fd, hold="intensity")
+
+    def test_fd_report_keeps_the_f_le_h_guard(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_fd_information",
+                            lambda *args: (1.0 + 1e-6, 1.0))
+        with pytest.raises(DerivativeInstabilityError, match="exceeds QFI"):
+            estimation_report(CoherentSpec(6.0), M, 1e-3, DerivativeConfig(method="fd"))

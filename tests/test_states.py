@@ -7,6 +7,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from qdeform import states
 from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DivergenceError, DomainError
 from qdeform.states import (
@@ -121,6 +122,13 @@ class TestDivergenceGuards:
         with pytest.raises(DivergenceError):
             cat_distribution(CatSpec(40.0), params(M, -0.05))
 
+    @pytest.mark.parametrize("kind, eps", [(M, 0.0), (P, 0.3)])
+    def test_thermal_beta_near_float_min(self, kind, eps):
+        # n_mean = 1/beta is near the float maximum; the support search must
+        # still end at the hard cap instead of overflowing its start size.
+        with pytest.raises(DivergenceError):
+            thermal_distribution(ThermalSpec(beta=1e-308), params(kind, eps))
+
 
 class TestCat:
     @pytest.mark.parametrize("kind", [M, P])
@@ -130,10 +138,28 @@ class TestCat:
         assert np.all(dist.probs[1::2] == 0.0)
         assert np.all(amps.amps[1::2] == 0.0)
 
-    @pytest.mark.parametrize("alpha_sq", [0.5, 2.0, 10.0, 50.0])
+    @pytest.mark.parametrize("alpha_sq", [0.5, 2.0, 10.0, 50.0, 300.0])
     def test_normalization_crosscheck(self, alpha_sq):
-        wf, wd = cat_normalization_crosscheck(CatSpec(alpha_sq), params(M, 1e-3))
-        assert wf == pytest.approx(wd, rel=1e-10)
+        # The alternating-sum formula and direct even-term summation agree
+        # (worst case on this grid about 4e-16).  Every point is
+        # normalizable: alpha_sq |eps| stays below 1 for M at eps < 0.
+        for kind in (M, P):
+            for eps in (-1e-3, 0.0, 1e-5, 1e-3, 1e-2, 0.1):
+                wf, wd = cat_normalization_crosscheck(CatSpec(alpha_sq), params(kind, eps))
+                assert wf == pytest.approx(wd, rel=1e-10), (kind, eps)
+
+    def test_build_runs_no_crosscheck(self, monkeypatch):
+        calls = []
+        real = states.coherent_distribution
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(states, "coherent_distribution", counting)
+        cat_distribution(CatSpec(10.0), params(M, 1e-3))
+        build_distribution(CatSpec(2.0), params(P, 1e-2))
+        assert calls == []
 
     def test_mean_photon_limits(self):
         # large |alpha|: mean -> |alpha|^2; small |alpha|: mean -> |alpha|^4
