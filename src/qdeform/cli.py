@@ -32,13 +32,7 @@ from .estimation import (
     leading_order_qsnr,
 )
 from .montecarlo import crb_benchmark
-from .states import (
-    CatSpec,
-    CoherentSpec,
-    ProbeSpec,
-    ThermalSpec,
-    build_distribution,
-)
+from .states import FAMILIES, ProbeSpec, build_distribution
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,8 +95,7 @@ def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True,
-                        choices=["coherent", "thermal", "cat"])
+    parser.add_argument("--family", required=True, choices=list(FAMILIES))
     parser.add_argument("--alpha-sq", type=float, default=None,
                         help="|alpha|^2 for coherent/cat probes")
     parser.add_argument("--beta", type=float, default=None,
@@ -111,20 +104,25 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
                         help="thermal mean photon number (alternative to --beta)")
 
 
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
+def _takes_n_mean(cls) -> bool:
+    """A family whose spec exposes n_mean (thermal) may be given by it."""
+    return hasattr(cls, "n_mean")
+
+
 def _spec_from_args(parser: _Parser, args: argparse.Namespace) -> ProbeSpec:
-    if args.family in ("coherent", "cat"):
-        if args.alpha_sq is None:
-            parser.error(f"--alpha-sq is required for family {args.family}")
-        cls = CoherentSpec if args.family == "coherent" else CatSpec
-        return cls(alpha_sq=args.alpha_sq)
-    if args.beta is not None and args.n_mean is not None:
-        parser.error("give either --beta or --n-mean, not both")
-    if args.beta is not None:
-        return ThermalSpec(beta=args.beta)
-    if args.n_mean is not None:
-        return ThermalSpec.from_mean_photon(args.n_mean)
-    parser.error("thermal probes need --beta or --n-mean")
-    raise AssertionError  # unreachable
+    """The spec from the family's field flag, or from --n-mean where it applies."""
+    cls = FAMILIES[args.family]
+    value = getattr(args, cls.field)
+    n_mean = args.n_mean if _takes_n_mean(cls) else None
+    if (value is None) == (n_mean is None):
+        need = (f"exactly one of {_flag(cls.field)} / --n-mean" if _takes_n_mean(cls)
+                else _flag(cls.field))
+        parser.error(f"family {args.family} needs {need}")
+    return cls(**{cls.field: value}) if value is not None else cls.from_mean_photon(n_mean)
 
 
 def _parse_floats(parser: _Parser, text: str, flag: str) -> List[float]:
@@ -146,13 +144,11 @@ def build_parser() -> _Parser:
 
     p_state = sub.add_parser("state", help="emit a photon-number distribution")
     state_sub = p_state.add_subparsers(dest="family", required=True)
-    for family in ("coherent", "thermal", "cat"):
+    for family, cls in FAMILIES.items():
         sp = state_sub.add_parser(family)
-        if family == "thermal":
-            sp.add_argument("--beta", type=float, default=None)
+        sp.add_argument(_flag(cls.field), type=float, default=None)
+        if _takes_n_mean(cls):
             sp.add_argument("--n-mean", type=float, default=None)
-        else:
-            sp.add_argument("--alpha-sq", type=float, required=True)
         _add_common(sp)
 
     p_fisher = sub.add_parser("fisher", help="Fisher/QFI/QSNR report at one point")
@@ -163,8 +159,7 @@ def build_parser() -> _Parser:
                           help="family parametrization for the derivative")
 
     p_qsnr = sub.add_parser("qsnr", help="QSNR sweep against the leading-order table")
-    p_qsnr.add_argument("--family", required=True,
-                        choices=["coherent", "thermal", "cat"])
+    p_qsnr.add_argument("--family", required=True, choices=list(FAMILIES))
     p_qsnr.add_argument("--epsilons", default=None,
                         help="comma-separated epsilon values")
     p_qsnr.add_argument("--eps-range", default=None, metavar="LO:HI:COUNT",
@@ -186,15 +181,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_state(parser: _Parser, args: argparse.Namespace) -> int:
-    if args.family == "thermal":
-        if (args.beta is None) == (args.n_mean is None):
-            parser.error("thermal probes need exactly one of --beta / --n-mean")
-        spec: ProbeSpec = (ThermalSpec(beta=args.beta) if args.beta is not None
-                           else ThermalSpec.from_mean_photon(args.n_mean))
-    elif args.family == "coherent":
-        spec = CoherentSpec(alpha_sq=args.alpha_sq)
-    else:
-        spec = CatSpec(alpha_sq=args.alpha_sq)
+    spec = _spec_from_args(parser, args)
     params = DeformationParams(DeformationKind(args.kind), args.epsilon)
     dist = build_distribution(spec, params, args.tol)
     if args.format == "json":
@@ -217,14 +204,6 @@ def _cmd_fisher(parser: _Parser, args: argparse.Namespace) -> int:
         text = _csv_text(serialize.write_report_csv, report)
     _write_output(text, args.out)
     return EXIT_OK
-
-
-def _base_spec(family: str, n_value: float) -> ProbeSpec:
-    if family == "coherent":
-        return CoherentSpec(alpha_sq=n_value)
-    if family == "cat":
-        return CatSpec(alpha_sq=n_value)
-    return ThermalSpec.from_mean_photon(n_value)
 
 
 def _parse_eps_grid(parser: _Parser, args: argparse.Namespace) -> List[float]:
@@ -256,7 +235,7 @@ def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> int:
     for eps in epsilons:
         params = DeformationParams(kind, eps)
         for n_value in n_values:
-            spec = _base_spec(args.family, n_value)
+            spec = FAMILIES[args.family].from_mean_photon(n_value)
             if not args.raw_intensity:
                 spec = calibrate_intensity(spec, params, n_value, args.tol)
             report = estimation_report(spec, kind, eps, None, args.tol,

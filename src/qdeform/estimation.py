@@ -41,14 +41,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import DeformationKind, DeformationParams, dgamma_values, dlog_delta_values, gamma_values
+from .algebra import DeformationKind, DeformationParams
 from .errors import DerivativeInstabilityError, DivergenceError, DomainError
 from .states import (
-    CatSpec,
-    CoherentSpec,
     PhotonDistribution,
     ProbeSpec,
-    ThermalSpec,
+    _probe,
     build_distribution,
     fixed_support_log_probs,
     mean_photon,
@@ -120,30 +118,6 @@ class EstimationReport:
     m_delta_coeff: float
 
 
-def _eps_score(dist: PhotonDistribution) -> np.ndarray:
-    """d ln w_n / d eps on the distribution support."""
-    spec, params, n_max = dist.spec, dist.params, dist.n_max
-    if isinstance(spec, (CoherentSpec, CatSpec)):
-        return -dlog_delta_values(params, n_max)
-    if isinstance(spec, ThermalSpec):
-        dg = dgamma_values(params, n_max + 1)
-        with np.errstate(invalid="ignore"):
-            return -(spec.beta / 2.0) * (dg[1:] + dg[:-1])
-    raise DomainError(f"unknown probe spec {spec!r}")
-
-
-def _intensity_score(dist: PhotonDistribution) -> np.ndarray:
-    """d ln w_n / d theta (theta = |alpha|^2 or beta) on the support."""
-    spec, params, n_max = dist.spec, dist.params, dist.n_max
-    if isinstance(spec, (CoherentSpec, CatSpec)):
-        return np.arange(n_max + 1, dtype=float) / spec.alpha_sq
-    if isinstance(spec, ThermalSpec):
-        g = gamma_values(params, n_max + 1)
-        with np.errstate(invalid="ignore"):
-            return -(g[1:] + g[:-1] - 1.0) / 2.0
-    raise DomainError(f"unknown probe spec {spec!r}")
-
-
 def _masked(dist: PhotonDistribution, floor: float):
     p = dist.probs
     mask = p > floor
@@ -181,7 +155,7 @@ def _report_dropped(dist: PhotonDistribution, d: np.ndarray, mask: np.ndarray,
 
 def _analytic_score(dist: PhotonDistribution, hold: str, floor: float):
     """Centered epsilon-score on the masked support, per the hold convention."""
-    d = _eps_score(dist)
+    d = dist.spec.eps_score(dist.params, dist.n_max)
     mask, pm, n = _masked(dist, floor)
     _report_dropped(dist, d, mask, floor)
     dm = d[mask]
@@ -189,7 +163,7 @@ def _analytic_score(dist: PhotonDistribution, hold: str, floor: float):
         return pm, dm
     if hold != "mean_photon":
         raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
-    tm = _intensity_score(dist)[mask]
+    tm = dist.spec.intensity_score(dist.params, dist.n_max)[mask]
     nc = n - float(pm @ n)
     dc = dm - float(pm @ dm)
     tc = tm - float(pm @ tm)
@@ -222,7 +196,7 @@ def calibrate_intensity(
     """
     if not (math.isfinite(mean_target) and mean_target > 0):
         raise DomainError(f"mean_target must be positive, got {mean_target}")
-    field = "beta" if isinstance(spec, ThermalSpec) else "alpha_sq"
+    field = _probe(spec).field
     current = spec
     lo, hi = -math.inf, math.inf
     for _ in range(max_iter):
@@ -233,7 +207,7 @@ def calibrate_intensity(
         mask, pm, n = _masked(dist, PROB_FLOOR)
         theta = getattr(current, field)
         x = math.log(theta)
-        u = theta * _intensity_score(dist)[mask]  # d ln w_n / d x
+        u = theta * current.intensity_score(params, dist.n_max)[mask]  # d ln w_n / d x
         slope = float(pm @ ((n - float(pm @ n)) * (u - float(pm @ u))))  # d mean / d x
         if not (math.isfinite(slope) and slope != 0.0):
             raise DivergenceError(
@@ -343,7 +317,7 @@ def qfi_pure(
     hold: str = "mean_photon",
 ) -> float:
     """QFI of a pure real-amplitude probe (coherent or cat): 4 sum (d psi_n)^2."""
-    if not isinstance(spec, (CoherentSpec, CatSpec)):
+    if not _probe(spec).pure:
         raise DomainError("qfi_pure applies to pure probes (coherent, cat)")
     cfg = deriv or DerivativeConfig()
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
@@ -365,7 +339,7 @@ def qfi_diagonal(
 ) -> float:
     """QFI of a Fock-diagonal probe (thermal): the off-diagonal sector drops
     because Fock states do not move with epsilon, leaving the classical sum."""
-    if not isinstance(spec, ThermalSpec):
+    if _probe(spec).pure:
         raise DomainError("qfi_diagonal applies to Fock-diagonal probes (thermal)")
     return classical_fisher(spec, kind, epsilon, deriv, tol, hold)
 
@@ -416,11 +390,8 @@ def leading_order_qsnr(
 
 
 def family_class_of(spec: ProbeSpec) -> str:
-    if isinstance(spec, CoherentSpec):
-        return "coherent"
-    if isinstance(spec, CatSpec):
-        return "superposition"
-    return "thermal"
+    """Row of the leading-order table that the probe's family belongs to."""
+    return _probe(spec).family_class
 
 
 def estimation_report(
@@ -441,7 +412,7 @@ def estimation_report(
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
     if cfg.method == "fd":
         fisher, qfi = _fd_information(dist, cfg, tol, hold)
-        if isinstance(spec, ThermalSpec):
+        if not spec.pure:
             qfi = fisher  # Fock-diagonal: H is the classical sum (qfi_diagonal)
         if fisher > qfi * (1.0 + 1e-8) + 1e-300:
             raise DerivativeInstabilityError(

@@ -38,13 +38,11 @@ from .estimation import (
     PROB_FLOOR,
     DerivativeConfig,
     _analytic_score,
-    _eps_score,
     classical_fisher,
 )
 from .states import (
     PhotonDistribution,
     ProbeSpec,
-    ThermalSpec,
     _check_normalizable,
     _fixed_support_log_prob_rows,
     build_distribution,
@@ -304,7 +302,7 @@ def log_likelihood_gradient(
         )
     pm, s = _analytic_score(dist, "intensity", PROB_FLOOR)
     sbar = float(pm @ s)
-    d_full = _eps_score(dist)
+    d_full = spec.eps_score(dist.params, dist.n_max)
     return float(cs @ (d_full[ns] - sbar))
 
 
@@ -338,9 +336,7 @@ def mle_epsilon(
 def _min_admissible_epsilon(spec: ProbeSpec, kind: DeformationKind) -> float:
     """Lower bracket clip keeping the likelihood family normalizable."""
     if kind is DeformationKind.M:
-        if isinstance(spec, ThermalSpec):
-            return 0.0
-        return -0.9 / spec.alpha_sq
+        return 0.0 - 0.9 / spec.m_divergence_rate  # +0.0, not -0.0, at an infinite rate
     return -0.9
 
 

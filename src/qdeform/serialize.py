@@ -18,7 +18,7 @@ from .algebra import DeformationKind, DeformationParams
 from .errors import DomainError
 from .estimation import EstimationReport
 from .montecarlo import CrbBenchmark
-from .states import CatSpec, CoherentSpec, PhotonDistribution, ProbeSpec, ThermalSpec
+from .states import FAMILIES, PhotonDistribution, ProbeSpec, _probe
 
 __all__ = [
     "spec_to_dict",
@@ -50,24 +50,16 @@ SWEEP_COLUMNS = [
 
 
 def spec_to_dict(spec: ProbeSpec) -> Dict[str, Any]:
-    if isinstance(spec, CoherentSpec):
-        return {"family": "coherent", "alpha_sq": spec.alpha_sq}
-    if isinstance(spec, ThermalSpec):
-        return {"family": "thermal", "beta": spec.beta}
-    if isinstance(spec, CatSpec):
-        return {"family": "cat", "alpha_sq": spec.alpha_sq}
-    raise DomainError(f"unknown probe spec {spec!r}")
+    field = _probe(spec).field
+    return {"family": spec.family, field: getattr(spec, field)}
 
 
 def spec_from_dict(data: Dict[str, Any]) -> ProbeSpec:
     family = data["family"]
-    if family == "coherent":
-        return CoherentSpec(alpha_sq=float(data["alpha_sq"]))
-    if family == "thermal":
-        return ThermalSpec(beta=float(data["beta"]))
-    if family == "cat":
-        return CatSpec(alpha_sq=float(data["alpha_sq"]))
-    raise DomainError(f"unknown probe family {family!r}")
+    if family not in FAMILIES:
+        raise DomainError(f"unknown probe family {family!r}")
+    cls = FAMILIES[family]
+    return cls(**{cls.field: float(data[cls.field])})
 
 
 def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:

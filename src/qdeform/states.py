@@ -1,10 +1,13 @@
 """Photon-number distributions of deformed coherent, thermal and cat states.
 
-Each family is assembled from unnormalized log-weights ln w_n:
+Each probe family is described in one place, its spec class (listed by
+name in FAMILIES), which carries the unnormalized log-weights ln w_n:
 
   coherent:  ln w_n = n ln|alpha|^2 - ln Delta_n
   thermal:   ln w_n = -(beta/2) (gamma_{n+1} + gamma_n - 1)
   cat:       coherent weights restricted to even n (odd amplitudes cancel)
+
+and everything else the package needs to know about the family (_Probe).
 
 Weights are summed in the log domain after subtracting the running max.
 Truncation is certified: once the boundary weight ratio r is below 1 (and
@@ -15,19 +18,27 @@ the truncated sum plus that certified tail, so sum(probs) = 1 - tail_bound.
 
 Non-normalizable corners raise DivergenceError instead of looping: the M
 deformation with epsilon < 0 has a bounded spectrum (gamma_n saturates at
-1/|epsilon|), which makes every thermal state divergent and coherent/cat
-states divergent once |alpha|^2 |epsilon| >= 1.
+1/|epsilon|), so the weights diverge once m_divergence_rate |epsilon|
+reaches 1 -- for every thermal state (the rate is infinite) and for
+coherent/cat states once |alpha|^2 |epsilon| >= 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import ClassVar, Dict, Tuple, Type, Union
 
 import numpy as np
 
-from .algebra import DeformationKind, DeformationParams, _log_q_rows
+from .algebra import (
+    DeformationKind,
+    DeformationParams,
+    _log_q_rows,
+    dgamma_values,
+    dlog_delta_values,
+    gamma_values,
+)
 from .errors import DivergenceError, DomainError
 
 __all__ = [
@@ -35,6 +46,7 @@ __all__ = [
     "ThermalSpec",
     "CatSpec",
     "ProbeSpec",
+    "FAMILIES",
     "PhotonDistribution",
     "AmplitudeVector",
     "coherent_distribution",
@@ -56,22 +68,97 @@ _UNDERFLOW_LOG = 700.0
 _RATIO_SLACK = 1e-9
 
 
+class _Probe:
+    """Base of the spec classes.  Each family class provides:
+
+    family, family_class   CLI/JSON name; row of leading_order_qsnr
+    field                  name of the intensity parameter theta
+    step, pure             Fock support step; pure (else Fock-diagonal)
+    n0                     undeformed mean photon number (sizes a build)
+    m_divergence_rate      M, epsilon < 0: the weights diverge once
+                           m_divergence_rate |epsilon| >= 1
+    log_weight_rows(kind, eps, n_max)   ln w_n, one row per epsilon
+    eps_score(params, n_max)            d ln w_n / d epsilon
+    intensity_score(params, n_max)      d ln w_n / d theta
+    mean_expansion(params, regime)      leading-order mean photon number
+    from_mean_photon(n)                 spec from a mean photon number n
+    """
+
+    step: ClassVar[int] = 1
+
+
+def _probe(spec):
+    """The spec itself; DomainError unless it belongs to one of FAMILIES."""
+    if not isinstance(spec, _Probe):
+        raise DomainError(f"unknown probe spec {spec!r}")
+    return spec
+
+
 @dataclass(frozen=True)
-class CoherentSpec:
-    """Deformed coherent probe, parametrized by the intensity |alpha|^2."""
+class _AlphaSqProbe(_Probe):
+    """Shared part of the coherent and cat families, both set by |alpha|^2."""
 
     alpha_sq: float
+
+    field: ClassVar[str] = "alpha_sq"
+    pure: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha_sq) and self.alpha_sq > 0):
             raise DomainError(f"alpha_sq must be positive, got {self.alpha_sq}")
 
+    @classmethod
+    def from_mean_photon(cls, n_mean: float):
+        """Spec at |alpha|^2 = n_mean, the undeformed mean of a coherent probe
+        (a cat's is n_mean tanh n_mean)."""
+        return cls(alpha_sq=n_mean)
+
+    @property
+    def n0(self) -> float:
+        return self.alpha_sq
+
+    @property
+    def m_divergence_rate(self) -> float:
+        return self.alpha_sq
+
+    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
+        lq = _log_q_rows(kind, eps, n_max)
+        log_delta = np.zeros_like(lq)
+        log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
+        return np.arange(n_max + 1, dtype=float) * math.log(self.alpha_sq) - log_delta
+
+    def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
+        return -dlog_delta_values(params, n_max)
+
+    def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
+        return np.arange(n_max + 1, dtype=float) / self.alpha_sq
+
 
 @dataclass(frozen=True)
-class ThermalSpec:
+class CoherentSpec(_AlphaSqProbe):
+    """Deformed coherent probe, parametrized by the intensity |alpha|^2."""
+
+    family: ClassVar[str] = "coherent"
+    family_class: ClassVar[str] = "coherent"
+
+    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
+        eps, x = params.epsilon, self.alpha_sq
+        if params.kind is DeformationKind.M:
+            return x - 0.5 * eps * x * x
+        return x - 0.5 * eps * eps * (x * x + x**3 / 3.0)
+
+
+@dataclass(frozen=True)
+class ThermalSpec(_Probe):
     """Deformed thermal probe at inverse temperature beta (unit frequency)."""
 
     beta: float
+
+    family: ClassVar[str] = "thermal"
+    family_class: ClassVar[str] = "thermal"
+    field: ClassVar[str] = "beta"
+    pure: ClassVar[bool] = False
+    m_divergence_rate: ClassVar[float] = math.inf
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -89,19 +176,64 @@ class ThermalSpec:
         """Undeformed mean photon number 1/(e^beta - 1)."""
         return 1.0 / math.expm1(self.beta)
 
+    n0 = n_mean
+
+    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            g = np.exp(_log_q_rows(kind, eps, n_max + 1))
+            return -(self.beta / 2.0) * (g[:, 1:] + g[:, :-1] - 1.0)
+
+    def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
+        dg = dgamma_values(params, n_max + 1)
+        with np.errstate(invalid="ignore"):
+            return -(self.beta / 2.0) * (dg[1:] + dg[:-1])
+
+    def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
+        g = gamma_values(params, n_max + 1)
+        with np.errstate(invalid="ignore"):
+            return -(g[1:] + g[:-1] - 1.0) / 2.0
+
+    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
+        eps, n_t = params.epsilon, self.n_mean
+        if params.kind is DeformationKind.M:
+            if regime == "large":
+                return n_t - eps * (2.0 * n_t * n_t + 1.5 * n_t - 1.0 / 12.0)
+            return n_t + 0.5 * eps * n_t * math.log(n_t)
+        if regime == "large":
+            return n_t - eps * eps * n_t * (3.0 * n_t * n_t + 4.5 * n_t + 1.5)
+        return n_t + 0.5 * eps * eps * n_t * math.log(n_t)
+
 
 @dataclass(frozen=True)
-class CatSpec:
+class CatSpec(_AlphaSqProbe):
     """Even superposition of +alpha and -alpha deformed coherent states."""
 
-    alpha_sq: float
+    family: ClassVar[str] = "cat"
+    family_class: ClassVar[str] = "superposition"
+    step: ClassVar[int] = 2
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha_sq) and self.alpha_sq > 0):
-            raise DomainError(f"alpha_sq must be positive, got {self.alpha_sq}")
+    @property
+    def n0(self) -> float:
+        return self.alpha_sq * math.tanh(self.alpha_sq)
+
+    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
+        lnw = super().log_weight_rows(kind, eps, n_max)
+        lnw[:, 1::2] = -np.inf
+        return lnw
+
+    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
+        eps, n_c = params.epsilon, self.n0
+        order = eps if params.kind is DeformationKind.M else eps * eps
+        if regime == "large":
+            return n_c - 0.5 * order * n_c * n_c
+        return n_c - 0.5 * order * n_c
 
 
 ProbeSpec = Union[CoherentSpec, ThermalSpec, CatSpec]
+
+FAMILIES: Dict[str, Type[_Probe]] = {
+    cls.family: cls for cls in (CoherentSpec, ThermalSpec, CatSpec)
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +280,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
 
 
-def _log_weight_rows(
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    eps: np.ndarray,
-    n_max: int,
-) -> np.ndarray:
-    """Unnormalized ln w_n for n = 0..n_max, one row per epsilon in `eps`."""
-    if isinstance(spec, ThermalSpec):
-        with np.errstate(over="ignore"):
-            g = np.exp(_log_q_rows(kind, eps, n_max + 1))
-            return -(spec.beta / 2.0) * (g[:, 1:] + g[:, :-1] - 1.0)
-    if not isinstance(spec, (CoherentSpec, CatSpec)):
-        raise DomainError(f"unknown probe spec {spec!r}")
-    lq = _log_q_rows(kind, eps, n_max)
-    log_delta = np.zeros_like(lq)
-    log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
-    lnw = np.arange(n_max + 1, dtype=float) * math.log(spec.alpha_sq) - log_delta
-    if isinstance(spec, CatSpec):
-        lnw[:, 1::2] = -np.inf
-    return lnw
-
-
 def _initial_n_max(n0: float) -> int:
     n0 = min(n0, HARD_CAP)  # beta near 0 puts n0 near the float maximum
     return int(max(16, math.ceil(8.0 * (n0 + math.sqrt(n0)))))
@@ -197,19 +307,20 @@ def _certify(lnw_sup: np.ndarray) -> Tuple[float, float]:
     return ln_tail, r_log
 
 
-def _build(
+def build_distribution(
     spec: ProbeSpec,
     params: DeformationParams,
-    tol: float,
-    n0: float,
-    step: int,
+    tol: float = DEFAULT_TOL,
 ) -> PhotonDistribution:
+    """Certified photon distribution of any probe family."""
+    _check_normalizable(spec, params)
     if not (0.0 < tol <= 1e-6):
         raise DomainError(f"tol must lie in (0, 1e-6], got {tol}")
-    n_max = _initial_n_max(n0)
+    step = spec.step
+    n_max = _initial_n_max(spec.n0)
     while True:
         n_max = min(n_max + n_max % step, HARD_CAP)  # even support needs even n_max
-        lnw = _log_weight_rows(spec, params.kind, [params.epsilon], n_max)[0]
+        lnw = spec.log_weight_rows(params.kind, [params.epsilon], n_max)[0]
         support = np.arange(0, n_max + 1, step)
         lnw_sup = lnw[support]
         peak = float(np.max(lnw_sup))
@@ -277,25 +388,28 @@ def _finalize(
 
 
 def _check_normalizable(spec: ProbeSpec, params: DeformationParams) -> None:
-    """Reject configurations whose state sum provably diverges.
+    """Reject non-specs, and configurations whose state sum provably diverges.
 
     M deformation with epsilon < 0 bounds the q-numbers by 1/|epsilon|, so
-    thermal weights approach a positive constant (divergent partition
-    function) and coherent weights decay geometrically with limit ratio
-    |alpha|^2 |epsilon| (divergent once that reaches 1).
+    coherent weights decay geometrically with limit ratio |alpha|^2
+    |epsilon| and thermal weights approach a positive constant: the sum
+    diverges once the family's m_divergence_rate times |epsilon| reaches 1.
     """
+    _probe(spec)
     eps = params.epsilon
-    if params.kind is not DeformationKind.M or eps >= 0.0:
-        return
-    if isinstance(spec, ThermalSpec):
+    rate = spec.m_divergence_rate
+    if params.kind is DeformationKind.M and eps < 0.0 and rate * -eps >= 1.0 - 1e-12:
         raise DivergenceError(
-            "M-deformed thermal state is non-normalizable for epsilon < 0: "
-            "the level spectrum saturates at 1/|epsilon|"
+            f"M-deformed {spec.family} state is non-normalizable at epsilon = {eps}: "
+            f"its weights diverge once {rate:g} |epsilon| >= 1"
         )
-    if spec.alpha_sq * (-eps) >= 1.0 - 1e-12:
-        raise DivergenceError(
-            "M-deformed coherent weights diverge: |alpha|^2 |epsilon| >= 1"
-        )
+
+
+def _with_amplitudes(dist: PhotonDistribution) -> Tuple[PhotonDistribution, AmplitudeVector]:
+    """The distribution and its real amplitudes sqrt(p_n) (alpha real >= 0)."""
+    amps = AmplitudeVector(amps=np.sqrt(dist.probs), n_max=dist.n_max,
+                           tail_bound=dist.tail_bound, params=dist.params, spec=dist.spec)
+    return dist, amps
 
 
 def coherent_distribution(
@@ -304,16 +418,7 @@ def coherent_distribution(
     tol: float = DEFAULT_TOL,
 ) -> Tuple[PhotonDistribution, AmplitudeVector]:
     """Photon distribution and real amplitudes of a deformed coherent state."""
-    _check_normalizable(spec, params)
-    dist = _build(spec, params, tol, spec.alpha_sq, step=1)
-    amps = AmplitudeVector(
-        amps=np.sqrt(dist.probs),
-        n_max=dist.n_max,
-        tail_bound=dist.tail_bound,
-        params=params,
-        spec=spec,
-    )
-    return dist, amps
+    return _with_amplitudes(build_distribution(spec, params, tol))
 
 
 def thermal_distribution(
@@ -322,8 +427,7 @@ def thermal_distribution(
     tol: float = DEFAULT_TOL,
 ) -> PhotonDistribution:
     """Photon distribution of a deformed thermal state."""
-    _check_normalizable(spec, params)
-    return _build(spec, params, tol, spec.n_mean, step=1)
+    return build_distribution(spec, params, tol)
 
 
 def cat_distribution(
@@ -338,17 +442,7 @@ def cat_distribution(
     normalizes the even weights directly; the tests check that W agrees
     with the alternating-sum formula (cat_normalization_crosscheck).
     """
-    _check_normalizable(spec, params)
-    n0 = spec.alpha_sq * math.tanh(spec.alpha_sq)
-    dist = _build(spec, params, tol, n0, step=2)
-    amps = AmplitudeVector(
-        amps=np.sqrt(dist.probs),
-        n_max=dist.n_max,
-        tail_bound=dist.tail_bound,
-        params=params,
-        spec=spec,
-    )
-    return dist, amps
+    return _with_amplitudes(build_distribution(spec, params, tol))
 
 
 def cat_normalization_crosscheck(
@@ -363,7 +457,7 @@ def cat_normalization_crosscheck(
     """
     coherent = CoherentSpec(spec.alpha_sq)
     dist, _ = coherent_distribution(coherent, params, tol)
-    lnw = _log_weight_rows(coherent, params.kind, [params.epsilon], dist.n_max)[0]
+    lnw = coherent.log_weight_rows(params.kind, [params.epsilon], dist.n_max)[0]
     m = float(np.max(lnw))
     w = np.exp(lnw - m)
     c_plus = float(np.sum(w))
@@ -373,21 +467,6 @@ def cat_normalization_crosscheck(
     w_formula = 2.0 * (1.0 + c_minus / c_plus)
     w_direct = 4.0 * s_even / c_plus
     return w_formula, w_direct
-
-
-def build_distribution(
-    spec: ProbeSpec,
-    params: DeformationParams,
-    tol: float = DEFAULT_TOL,
-) -> PhotonDistribution:
-    """Family-dispatching constructor returning the photon distribution."""
-    if isinstance(spec, CoherentSpec):
-        return coherent_distribution(spec, params, tol)[0]
-    if isinstance(spec, ThermalSpec):
-        return thermal_distribution(spec, params, tol)
-    if isinstance(spec, CatSpec):
-        return cat_distribution(spec, params, tol)[0]
-    raise DomainError(f"unknown probe spec {spec!r}")
 
 
 def mean_photon(dist: PhotonDistribution) -> float:
@@ -412,29 +491,7 @@ def mean_photon_expansion(
     """
     if regime not in ("large", "small"):
         raise DomainError(f"regime must be 'large' or 'small', got {regime!r}")
-    eps = params.epsilon
-    is_m = params.kind is DeformationKind.M
-    if isinstance(spec, CoherentSpec):
-        x = spec.alpha_sq
-        if is_m:
-            return x - 0.5 * eps * x * x
-        return x - 0.5 * eps * eps * (x * x + x**3 / 3.0)
-    if isinstance(spec, ThermalSpec):
-        n_t = spec.n_mean
-        if is_m:
-            if regime == "large":
-                return n_t - eps * (2.0 * n_t * n_t + 1.5 * n_t - 1.0 / 12.0)
-            return n_t + 0.5 * eps * n_t * math.log(n_t)
-        if regime == "large":
-            return n_t - eps * eps * n_t * (3.0 * n_t * n_t + 4.5 * n_t + 1.5)
-        return n_t + 0.5 * eps * eps * n_t * math.log(n_t)
-    if isinstance(spec, CatSpec):
-        n_c = spec.alpha_sq * math.tanh(spec.alpha_sq)
-        order = eps if is_m else eps * eps
-        if regime == "large":
-            return n_c - 0.5 * order * n_c * n_c
-        return n_c - 0.5 * order * n_c
-    raise DomainError(f"unknown probe spec {spec!r}")
+    return _probe(spec).mean_expansion(params, regime)
 
 
 def extend_truncation(dist: PhotonDistribution, new_tol: float) -> PhotonDistribution:
@@ -477,8 +534,8 @@ def _fixed_support_log_prob_rows(
     its finite entries (the even columns for cat states; thermal rows whose
     gamma overflowed drop those levels), exactly as a single-epsilon call.
     """
-    lnw = _log_weight_rows(spec, kind, eps, n_support)
-    cols = lnw[:, ::2] if isinstance(spec, CatSpec) else lnw
+    lnw = spec.log_weight_rows(kind, eps, n_support)
+    cols = lnw[:, ::spec.step]
     finite = np.isfinite(cols).all(axis=1)
     norm = np.empty(len(lnw))
     norm[finite] = _logsumexp(cols[finite])

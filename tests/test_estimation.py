@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qdeform import estimation
+from qdeform import estimation, states
 from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DerivativeInstabilityError, DivergenceError, DomainError
 from qdeform.estimation import (
@@ -138,8 +138,9 @@ class TestCalibration:
         def no_eps_score(*args, **kwargs):
             raise AssertionError("epsilon score evaluated during calibration")
 
-        monkeypatch.setattr(estimation, "dlog_delta_values", no_eps_score)
-        monkeypatch.setattr(estimation, "dgamma_values", no_eps_score)
+        # The families' eps_score methods read these bindings.
+        monkeypatch.setattr(states, "dlog_delta_values", no_eps_score)
+        monkeypatch.setattr(states, "dgamma_values", no_eps_score)
         pr = DeformationParams(kind, 5e-3)
         spec = calibrate_intensity(spec_for(family, 17.0), pr, 17.0)
         assert mean_photon(build_distribution(spec, pr)) == pytest.approx(17.0, rel=1e-11)
