@@ -199,6 +199,15 @@ def calibrate_intensity(
     field = _probe(spec).field
     current = spec
     lo, hi = -math.inf, math.inf
+    rate, eps = spec.m_divergence_rate, params.epsilon
+    if params.kind is DeformationKind.M and eps < 0.0 and math.isfinite(rate):
+        # A finite divergence rate is the intensity itself (|alpha|^2), so
+        # the mean diverges as theta -> theta / (rate |eps|): that bound is
+        # the upper end of the bracket, and the search starts below it.
+        x = math.log(getattr(spec, field))
+        hi = x - math.log(rate * -eps)
+        if x >= hi:
+            current = replace(spec, **{field: math.exp(hi - math.log(2.0))})
     for _ in range(max_iter):
         dist = build_distribution(current, params, tol)
         mean = mean_photon(dist)

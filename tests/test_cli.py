@@ -217,6 +217,21 @@ class TestExitCodes:
         assert row["fisher"] > 0.0
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["coherent", "cat"])
+    def test_m_negative_epsilon_calibration_exit_0(self, capsys, family):
+        # N |eps| = 2: the undeformed start |alpha|^2 = 200 is past the
+        # divergence at 1/|eps| = 100, but |alpha|^2 = 90 already gives a
+        # mean of 233.7, so the target is reachable below the bound.
+        code, out, err = run_cli(capsys, "qsnr", "--family", family,
+                                 "--kind", "M", "--epsilons=-0.01",
+                                 "--n-values", "200")
+        assert code == 0, err
+        assert err == ""
+        (row,) = json.loads(out)["rows"]
+        assert row["mean_photon"] == pytest.approx(200.0, rel=1e-12)
+        assert row["fisher"] > 0.0
+
+    @pytest.mark.filterwarnings("error")
     def test_unreachable_calibration_target_exit_2(self, capsys):
         # The P thermal mean grows only like ln(1/beta); 5000 photons at
         # eps = 0.3 would need a beta below the float range.

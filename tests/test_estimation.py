@@ -154,6 +154,21 @@ class TestCalibration:
         assert 1e-100 < spec.beta < 1e-40
         assert mean_photon(build_distribution(spec, pr)) == pytest.approx(200.0, rel=1e-12)
 
+    @pytest.mark.parametrize("family", ["coherent", "cat"])
+    @pytest.mark.parametrize("eps, target", [(-1e-2, 200.0), (-1e-2, 500.0), (-0.5, 10.0)])
+    def test_m_negative_epsilon_target_past_the_divergence(self, family, eps, target):
+        # The mean diverges as |alpha|^2 |eps| -> 1, so each target is
+        # reached below 1/|eps| although the undeformed start lies beyond it.
+        pr = DeformationParams(M, eps)
+        spec = calibrate_intensity(spec_for(family, target), pr, target)
+        assert spec.alpha_sq * -eps < 1.0
+        assert mean_photon(build_distribution(spec, pr)) == pytest.approx(target, rel=1e-12)
+
+    def test_m_negative_epsilon_thermal_still_diverges(self):
+        with pytest.raises(DivergenceError, match="non-normalizable"):
+            calibrate_intensity(ThermalSpec.from_mean_photon(5.0),
+                                DeformationParams(M, -1e-3), 5.0)
+
     def test_unreachable_target_is_a_domain_error(self):
         with pytest.raises(DomainError, match="out of reach"):
             calibrate_intensity(ThermalSpec.from_mean_photon(5000.0),
