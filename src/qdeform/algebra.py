@@ -13,9 +13,10 @@ gamma_n, which for both deformations coincide with [n].
 
 Numerical strategy: all products are carried in the log domain (Delta_n
 grows super-factorially and overflows float64 near n ~ 170 even at
-epsilon = 0), and every removable singularity at epsilon = 0 is evaluated
-through expm1/log1p so no small-epsilon switchover is needed; epsilon = 0
-itself is special-cased to the undeformed limits.
+epsilon = 0), and the removable singularity of [n] at epsilon = 0 is
+evaluated through expm1/log1p, with epsilon = 0 special-cased to the
+undeformed limits.  The epsilon-derivatives cancel near epsilon = 0 in
+closed form, so there a Taylor series takes over (dlog_q_number_values).
 """
 
 from __future__ import annotations
@@ -123,31 +124,70 @@ def log_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:
     return out
 
 
+# Taylor coefficients of K(u) = 1 + c_1 u + sum_k c_2k u^2k, the function in
+# dlog_q_number_values: c_1 = 1/2 and c_2k = B_2k / (2k)! for M, where
+# K(u) = u / (1 - e^-u); c_1 = 0 and c_2k = 4^k B_2k / (2k)! for P, where
+# K(u) = u coth u.  B_2..B_24 reach double precision for |u| < 1/2 (the
+# radii of convergence are 2 pi and pi).
+_BERNOULLI_EVEN = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
+)
+_K_LINEAR = {DeformationKind.M: 0.5, DeformationKind.P: 0.0}
+_K_EVEN = {
+    kind: tuple((1.0 if kind is DeformationKind.M else 4.0**k) * b / math.factorial(2 * k)
+                for k, b in enumerate(_BERNOULLI_EVEN, start=1))
+    for kind in DeformationKind
+}
+# Below this |epsilon| the closed forms would lose more than 7 digits.
+_SERIES_EPS = 1e-3
+
+
+def _k_even_sum(kind: DeformationKind, w):
+    """sum_k c_2k w^(k-1), by Horner's rule."""
+    coeffs = _K_EVEN[kind]
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * w + c
+    return acc
+
+
 def dlog_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """d/d epsilon of ln [j] for j = 0..n_max (index 0 is unused, set to 0).
 
-    Closed forms; at epsilon = 0 the removable-limit values are used:
-    (j-1)/2 for M and 0 for P (the P expansion starts at second order).
+    Both kinds give (K(jL) - K(L)) / (L (1 + eps)) with L = ln(1 + eps), which
+    the closed forms below evaluate as a difference of two O(1/eps) terms:
+    they lose about log10(1/|jL|) digits for M and twice that for P.  For
+    |eps| < 1e-3 the entries with |jL| < 1/2 are therefore summed from the
+    Taylor series of K instead, c_1 (j-1) + L (j^2 S(j^2 L^2) - S(L^2)) with
+    S(w) = sum_k c_2k w^(k-1), in which nothing cancels; eps = 0 gives the
+    limits (j-1)/2 for M and 0 for P.  At |eps| >= 1e-3 the closed forms
+    keep at least 9 digits (2.4e-10 relative for P at eps = -1e-3), and the
+    results computed there keep the bits they always had.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    eps = params.epsilon
-    j = np.arange(1, n_max + 1, dtype=float)
+    kind, eps = params.kind, params.epsilon
     out = np.zeros(n_max + 1)
-    if n_max == 0:
+    j = np.arange(1, n_max + 1, dtype=float)
+    L = math.log1p(eps)
+    m = 0
+    if abs(eps) < _SERIES_EPS:
+        m = int(np.count_nonzero(np.abs(j * L) < 0.5))  # |jL| grows with j
+        js = j[:m]
+        u = js * L
+        out[1:m + 1] = (_K_LINEAR[kind] * (js - 1.0) + L * (
+            js * js * _k_even_sum(kind, u * u) - _k_even_sum(kind, L * L))) / (1.0 + eps)
+    if m == n_max:
         return out
-    if params.kind is DeformationKind.M:
-        if eps == 0.0:
-            out[1:] = (j - 1.0) / 2.0
+    j = j[m:]
+    with np.errstate(over="ignore"):  # q^-j overflows for eps < 0: the term tends to 0
+        if kind is DeformationKind.M:
+            u = j * L
+            out[m + 1:] = j / ((1.0 + eps) * (-np.expm1(-u))) - 1.0 / eps
         else:
-            u = j * math.log1p(eps)
-            out[1:] = j / ((1.0 + eps) * (-np.expm1(-u))) - 1.0 / eps
-    else:
-        if eps == 0.0:
-            out[1:] = 0.0
-        else:
-            v = 2.0 * j * math.log1p(eps)
-            out[1:] = (
+            v = 2.0 * j * L
+            out[m + 1:] = (
                 (1.0 - j) / (1.0 + eps)
                 + 2.0 * j / ((1.0 + eps) * (-np.expm1(-v)))
                 - 2.0 * (1.0 + eps) / (eps * (2.0 + eps))

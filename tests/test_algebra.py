@@ -6,6 +6,8 @@ restoring Delta_1 = 1) serve as independent oracles, alongside an exact
 rational/Decimal evaluation pinned as a golden constant.
 """
 
+import functools
+import itertools
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -28,6 +30,8 @@ from qdeform.algebra import (
     q_number,
 )
 from qdeform.errors import DomainError
+from qdeform.estimation import classical_fisher
+from qdeform.states import CoherentSpec
 
 M, P = DeformationKind.M, DeformationKind.P
 EPS_GRID = [0.1, -0.1, 1e-3, -1e-3, 1e-6, -1e-6]
@@ -255,3 +259,88 @@ class TestDerivativeArrays:
         g = gamma_values(params(M, 0.5), 3000)
         assert g[0] == 0.0
         assert np.isinf(g[-1])
+
+
+# --------------------------------------------------------------------------
+# 50-digit mpmath oracle, independent of the closed forms: [j] and d[j]/d eps
+# follow from the defining recurrences [j+1] = 1 + q [j] (M) and
+# [j+1] = (q + 1/q) [j] - [j-1] (P), in which nothing cancels near eps = 0.
+
+ORACLE_EPS = [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, 0.3]
+ORACLE_N = 3000
+
+
+@functools.lru_cache(maxsize=None)
+def mp_q_numbers(kind, eps, n):
+    """[j] and d ln [j] / d eps for j = 1..n, as 50-digit mpmath numbers."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q = 1 + mp.mpf(eps)
+        qs, dqs = [mp.mpf(0), mp.mpf(1)], [mp.mpf(0), mp.mpf(0)]
+        for j in range(1, n):
+            if kind is M:
+                qs.append(1 + q * qs[j])
+                dqs.append(qs[j] + q * dqs[j])
+            else:
+                qs.append((q + 1 / q) * qs[j] - qs[j - 1])
+                dqs.append((1 - q ** -2) * qs[j] + (q + 1 / q) * dqs[j] - dqs[j - 1])
+        return qs[1:], [dqs[j] / qs[j] for j in range(1, n + 1)]
+
+
+def floats(values):
+    return np.array([float(x) for x in values])
+
+
+def rel_err(got, want):
+    scale = np.where(want == 0.0, 1.0, np.abs(want))
+    return float(np.max(np.abs(got - want) / scale))
+
+
+class TestMpmathOracle:
+    # Bounds are about 2.5x the worst case measured on this grid, n <= 3000.
+    # ln [j]: 3.8e-15 (M, eps = -1e-12).  Derivatives below |eps| = 1e-3,
+    # where the series takes over: d ln [j] 6.2e-16, d ln Delta_n 3.0e-15
+    # (the closed forms alone were off by 1.2e-4 for M and 2e8 for P at
+    # eps = 1e-12).  At 1e-3 and 0.3 the closed forms stay: 4.3e-11 and
+    # 1.3e-10 (P, 1e-3).
+    @pytest.mark.parametrize("eps", ORACLE_EPS)
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_log_q_numbers(self, kind, eps):
+        mp = pytest.importorskip("mpmath")
+        q_numbers, _ = mp_q_numbers(kind, eps, ORACLE_N)
+        with mp.workdps(50):
+            want = floats(mp.log(x) for x in q_numbers)
+        got = log_q_number_values(params(kind, eps), ORACLE_N)
+        assert got[0] == -math.inf
+        assert rel_err(got[1:], want) <= 1e-14
+
+    @pytest.mark.parametrize("eps", ORACLE_EPS)
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_derivatives(self, kind, eps):
+        mp = pytest.importorskip("mpmath")
+        _, dlog_q = mp_q_numbers(kind, eps, ORACLE_N)
+        with mp.workdps(50):
+            dlog_delta = floats(itertools.accumulate(dlog_q))
+        pr = params(kind, eps)
+        bound = 1e-14 if abs(eps) < 1e-3 else 5e-10
+        assert rel_err(dlog_q_number_values(pr, ORACLE_N)[1:], floats(dlog_q)) <= bound
+        assert rel_err(dlog_delta_values(pr, ORACLE_N)[1:], dlog_delta) <= bound
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10])
+    def test_p_coherent_fisher_near_zero(self, eps):
+        # F of the fixed-intensity family, Var_p[-d ln Delta_n / d eps] with
+        # p_n ~ |alpha|^(2n) / Delta_n.  F / eps^2 tends to about 2.18e4; the
+        # cancelling closed form gave 2.39e4 at 1e-9 and 6.7e8 at 1e-10.
+        mp = pytest.importorskip("mpmath")
+        alpha_sq, n = 10.0, 150
+        q_numbers, dlog_q = mp_q_numbers(P, eps, n)
+        with mp.workdps(50):
+            w, score = [mp.mpf(1)], [mp.mpf(0)]
+            for q_j, d_j in zip(q_numbers, dlog_q):
+                w.append(w[-1] * alpha_sq / q_j)
+                score.append(score[-1] - d_j)
+            z = mp.fsum(w)
+            mean = mp.fsum(a * s for a, s in zip(w, score)) / z
+            want = float(mp.fsum(a * (s - mean) ** 2 for a, s in zip(w, score)) / z)
+        got = classical_fisher(CoherentSpec(alpha_sq), P, eps, hold="intensity")
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
