@@ -6,9 +6,11 @@ measurement is
 
     F(eps) = sum_n (d p_n / d eps)^2 / p_n = Var_p[score],
 
-with the score d ln p_n / d eps assembled from analytic derivatives of the
-log-weights; the normalization derivative enters through centering, which
-makes sum_n dp_n = 0 an exact identity (checked at run time).  Because the
+with the score d ln p_n / d eps assembled from the analytic log-weight
+derivatives that each probe family provides (eps_score and
+intensity_score on the spec classes); the normalization derivative enters
+through centering, which makes sum_n dp_n = 0 an exact identity (checked
+at run time).  Because the
 Fock basis is unaffected by the deformation, the QFI of these families
 equals F: for pure real-amplitude probes H = 4 sum_n (d psi_n)^2, and for
 Fock-diagonal mixtures H reduces to the same diagonal sum.  An analytic
@@ -191,8 +193,11 @@ def calibrate_intensity(
     mean is monotone in theta, so the sign of mean - mean_target at each
     iterate bounds the root on one side; a Newton step is taken only when
     it lands strictly inside that bracket, otherwise the bracket is bisected
-    in x.  Raises DomainError when the target lies beyond every float
-    intensity, DivergenceError when the iteration stalls or runs out.
+    in x.  For M at epsilon < 0 a finite divergence rate bounds theta
+    (|alpha|^2 < 1/|epsilon|): the bound closes the bracket from above, and
+    a start past it moves to half of it.  Raises DomainError when the target
+    lies beyond every float intensity, DivergenceError when the iteration
+    stalls or runs out.
     """
     if not (math.isfinite(mean_target) and mean_target > 0):
         raise DomainError(f"mean_target must be positive, got {mean_target}")

@@ -1,0 +1,182 @@
+"""The probe-family protocol: every family in FAMILIES provides the same
+attributes, the package reaches families only through them, and property
+tests over (family, kind, epsilon, intensity) hold for each family."""
+
+import argparse
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import qdeform
+from qdeform import serialize
+from qdeform.algebra import DeformationKind, DeformationParams
+from qdeform.cli import build_parser
+from qdeform.errors import DivergenceError, DomainError
+from qdeform.estimation import (
+    DerivativeConfig,
+    calibrate_intensity,
+    classical_fisher,
+    estimation_report,
+    family_class_of,
+    leading_order_qsnr,
+    qfi_diagonal,
+    qfi_pure,
+)
+from qdeform.montecarlo import crb_benchmark
+from qdeform.states import (
+    FAMILIES,
+    build_distribution,
+    fixed_support_log_probs,
+    mean_photon_expansion,
+)
+
+M, P = DeformationKind.M, DeformationKind.P
+
+PROTOCOL = (
+    "family", "family_class", "field", "step", "pure", "n0", "m_divergence_rate",
+    "log_weight_rows", "eps_score", "intensity_score", "mean_expansion",
+    "from_mean_photon",
+)
+
+
+class TestConformance:
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_every_family_has_the_protocol(self, name):
+        cls = FAMILIES[name]
+        spec = cls.from_mean_photon(3.0)
+        assert type(spec) is cls and cls.family == name
+        for attr in PROTOCOL:
+            assert hasattr(spec, attr), (name, attr)
+        assert getattr(spec, cls.field) > 0
+        assert cls.step in (1, 2) and isinstance(cls.pure, bool)
+        assert leading_order_qsnr(cls.family_class, M, 1e-3, 10.0) > 0
+        rows = spec.log_weight_rows(M, np.array([0.0, 1e-3]), 20)
+        assert rows.shape == (2, 21)
+        pr = DeformationParams(P, 1e-3)
+        assert spec.eps_score(pr, 20).shape == spec.intensity_score(pr, 20).shape == (21,)
+
+    def test_cli_family_choices_are_the_families(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("fisher", "qsnr", "benchmark"):
+            family = next(a for a in sub.choices[command]._actions if a.dest == "family")
+            assert list(family.choices) == list(FAMILIES)
+        state = next(a for a in sub.choices["state"]._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert list(state.choices) == list(FAMILIES)
+
+    def test_no_type_dispatch_on_specs(self):
+        pattern = re.compile(r"isinstance\(.*Spec")
+        for path in sorted(Path(qdeform.__file__).parent.glob("*.py")):
+            for number, line in enumerate(path.read_text().splitlines(), start=1):
+                assert not pattern.search(line), f"{path.name}:{number}: {line.strip()}"
+
+    @pytest.mark.parametrize("call", [
+        lambda s: build_distribution(s, DeformationParams(M, 0.0)),
+        lambda s: fixed_support_log_probs(s, DeformationParams(M, 0.0), 10),
+        lambda s: mean_photon_expansion(s, DeformationParams(M, 0.0)),
+        lambda s: calibrate_intensity(s, DeformationParams(M, 0.0), 2.0),
+        lambda s: classical_fisher(s, M, 1e-3),
+        lambda s: qfi_pure(s, M, 1e-3),
+        lambda s: qfi_diagonal(s, M, 1e-3),
+        lambda s: estimation_report(s, M, 1e-3),
+        lambda s: family_class_of(s),
+        lambda s: crb_benchmark(s, M, 1e-3, 100, 50, 1),
+        lambda s: serialize.spec_to_dict(s),
+    ])
+    def test_non_spec_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="unknown probe spec"):
+            call(object())
+
+    def test_unknown_family_name_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown probe family"):
+            serialize.spec_from_dict({"family": "squeezed", "alpha_sq": 1.0})
+
+
+# --------------------------------------------------------------------------
+# Properties.  derandomize keeps tier-1 deterministic; database=None keeps
+# hypothesis from writing example files.
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+families = st.sampled_from(list(FAMILIES.values()))
+kinds = st.sampled_from(list(DeformationKind))
+intensities = st.floats(0.05, 200.0)
+
+
+def _near_divergence(spec, kind, eps):
+    """M, eps < 0 and m_divergence_rate |eps| > 0.99: past or so close to
+    the divergence that the certified support outgrows the hard cap."""
+    return kind is M and eps < 0.0 and spec.m_divergence_rate * -eps > 0.99
+
+
+@PROPERTY
+@given(families, kinds, st.floats(-0.5, 0.5), intensities,
+       st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_probs_sum_to_one_minus_the_certified_tail(cls, kind, eps, n, tol):
+    spec = cls.from_mean_photon(n)
+    assume(not _near_divergence(spec, kind, eps))
+    dist = build_distribution(spec, DeformationParams(kind, eps), tol)
+    assert 0.0 <= dist.tail_bound <= tol
+    # Normalizing in the log domain rounds ln Z to its last bit, which moves
+    # every p_n by that much relative: 1.3e-14 at ln Z = 133 (coherent,
+    # |alpha|^2 = 135, eps = 0).
+    lnw = spec.log_weight_rows(kind, [eps], dist.n_max)[0]
+    peak = int(np.argmax(dist.log_probs))
+    ln_z = float(lnw[peak] - dist.log_probs[peak])
+    bound = 1e-14 + 2.0 * math.ulp(abs(ln_z))
+    assert abs(float(np.sum(dist.probs)) - (1.0 - dist.tail_bound)) <= bound
+
+
+@PROPERTY
+@given(families, kinds, st.floats(-0.5, 0.5), intensities,
+       st.sampled_from(["intensity", "mean_photon"]))
+def test_fisher_is_nonnegative(cls, kind, eps, n, hold):
+    spec = cls.from_mean_photon(n)
+    assume(not _near_divergence(spec, kind, eps))
+    assert classical_fisher(spec, kind, eps, hold=hold) >= 0.0
+
+
+@PROPERTY
+@given(families, st.floats(1e-300, 1e300))
+def test_spec_dict_round_trip(cls, value):
+    spec = cls(**{cls.field: value})
+    data = json.loads(json.dumps(serialize.spec_to_dict(spec)))
+    assert data["family"] == cls.family
+    assert serialize.spec_from_dict(data) == spec
+
+
+@PROPERTY
+@given(families, st.floats(-0.9, -1e-6), intensities)
+def test_m_divergence_exactly_at_rate_times_abs_eps_one(cls, eps, n):
+    # Outside (0.99, 1), where the certified support would outgrow the
+    # hard cap before the weights diverge, a build fails exactly when
+    # m_divergence_rate |eps| >= 1.
+    spec = cls.from_mean_photon(n)
+    r = spec.m_divergence_rate * -eps
+    assume(not 0.99 < r < 1.0)
+    params = DeformationParams(M, eps)
+    if r >= 1.0:
+        with pytest.raises(DivergenceError, match="non-normalizable"):
+            build_distribution(spec, params)
+    else:
+        assert build_distribution(spec, params).n_max >= 1
+
+
+@PROPERTY
+@given(families, kinds, st.floats(1e-3, 0.1), st.booleans(), st.floats(0.5, 30.0))
+def test_analytic_fisher_matches_finite_differences(cls, kind, size, negative, n):
+    # FD-stable domain: |eps| in [1e-3, 0.1] and N in [0.5, 30] at fixed
+    # intensity.  There the step max(1e-7, 1e-3 |eps|) leaves the Richardson
+    # pair well inside its 1e-4 agreement, and F is far above rounding
+    # (measured worst disagreement on a grid over it: 4e-7).
+    eps = -size if negative else size
+    spec = cls.from_mean_photon(n)
+    assume(not _near_divergence(spec, kind, eps))
+    analytic = classical_fisher(spec, kind, eps, hold="intensity")
+    fd = classical_fisher(spec, kind, eps, DerivativeConfig(method="fd"), hold="intensity")
+    assert fd == pytest.approx(analytic, rel=1e-5)
