@@ -10,13 +10,13 @@ with the score d ln p_n / d eps assembled from the analytic log-weight
 derivatives that each probe family provides (eps_score and
 intensity_score on the spec classes); the normalization derivative enters
 through centering, which makes sum_n dp_n = 0 an exact identity (checked
-at run time).  Because the
-Fock basis is unaffected by the deformation, the QFI of these families
-equals F: for pure real-amplitude probes H = 4 sum_n (d psi_n)^2, and for
-Fock-diagonal mixtures H reduces to the same diagonal sum.  An analytic
-estimation_report therefore builds its distribution once, computes F once
-and reports it as H as well; qfi_pure and qfi_diagonal keep the separate
-formulas, which the tests compare with F.
+at run time).  Because the Fock basis is unaffected by the deformation,
+the QFI of these families equals F: for pure real-amplitude probes
+H = 4 sum_n (d psi_n)^2, and for Fock-diagonal mixtures H reduces to the
+same diagonal sum.  An analytic estimation_report therefore builds its
+distribution once, computes F once and reports it as H as well; qfi_pure
+and qfi_diagonal keep the separate formulas, which the tests compare
+with F.
 
 Two parametrizations of the epsilon-family are exposed via `hold`:
 
@@ -206,9 +206,9 @@ def calibrate_intensity(
     lo, hi = -math.inf, math.inf
     rate, eps = spec.m_divergence_rate, params.epsilon
     if params.kind is DeformationKind.M and eps < 0.0 and math.isfinite(rate):
-        # A finite divergence rate is the intensity itself (|alpha|^2), so
-        # the mean diverges as theta -> theta / (rate |eps|): that bound is
-        # the upper end of the bracket, and the search starts below it.
+        # A finite rate is theta itself (|alpha|^2): the weights diverge from
+        # theta / (rate |eps|) = 1/|eps| on, and the mean grows without bound
+        # below it.  That bound closes the bracket; a start past it halves it.
         x = math.log(getattr(spec, field))
         hi = x - math.log(rate * -eps)
         if x >= hi:
