@@ -17,6 +17,8 @@ epsilon = 0), and the removable singularity of [n] at epsilon = 0 is
 evaluated through expm1/log1p, with epsilon = 0 special-cased to the
 undeformed limits.  The epsilon-derivatives cancel near epsilon = 0 in
 closed form, so there a Taylor series takes over (dlog_q_number_values).
+The product forms and small-epsilon expansions that the tests check these
+values against are not part of this module.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ __all__ = [
     "DeformationParams",
     "q_number",
     "log_delta",
-    "g_product",
-    "delta_series",
-    "gamma_coefficient",
     "log_q_number_values",
     "log_delta_values",
     "dlog_q_number_values",
@@ -250,49 +249,3 @@ def log_delta(params: DeformationParams, n: int) -> float:
     if n < 0:
         raise DomainError("n must be >= 0")
     return float(log_delta_values(params, n)[n])
-
-
-def g_product(a: float, b: float, n: int) -> float:
-    """The finite product prod_{k=0}^{n-1} (1 - a b^k); empty product is 1.
-
-    Kept as a cross-check oracle only: near epsilon = 0 this form loses
-    digits to cancellation, so the production path never uses it.
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    out = 1.0
-    term = float(a)
-    for _ in range(n):
-        out *= 1.0 - term
-        term *= b
-    return out
-
-
-def delta_series(params: DeformationParams, n: int) -> float:
-    """First-nonvanishing-order expansion of Delta_n around epsilon = 0.
-
-    M: n! (1 + eps n(n-1)/4);  P: n! (1 + eps^2 n(n-1)(2n+5)/36).
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    eps = params.epsilon
-    fact = math.exp(math.lgamma(n + 1))
-    if params.kind is DeformationKind.M:
-        return fact * (1.0 + 0.25 * eps * n * (n - 1))
-    return fact * (1.0 + eps * eps * n * (n - 1) * (2 * n + 5) / 36.0)
-
-
-def gamma_coefficient(params: DeformationParams, n: int, series: bool = False) -> float:
-    """Level coefficient gamma_n; equals the q-number [n] for both kinds.
-
-    With series=True the leading small-epsilon truncation is returned
-    instead: n + eps n(n-1)/2 for M, n + eps^2 n(n^2-1)/6 for P.
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if series:
-        eps = params.epsilon
-        if params.kind is DeformationKind.M:
-            return n + 0.5 * eps * n * (n - 1)
-        return n + eps * eps * n * (n * n - 1) / 6.0
-    return q_number(params, n)

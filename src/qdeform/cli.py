@@ -2,7 +2,7 @@
 and Cramer-Rao benchmarks, emitting JSON or CSV.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 numerical
-divergence/instability.  Output files are written atomically (temp file +
+divergence.  Output files are written atomically (temp file +
 rename); stdout is used when --out is omitted.
 """
 
@@ -20,12 +20,10 @@ from . import serialize
 from .algebra import DeformationKind, DeformationParams
 from .errors import (
     BenchmarkError,
-    DerivativeInstabilityError,
     DivergenceError,
     DomainError,
 )
 from .estimation import (
-    DerivativeConfig,
     calibrate_intensity,
     estimation_report,
     family_class_of,
@@ -196,8 +194,7 @@ def _cmd_fisher(parser: _Parser, args: argparse.Namespace) -> int:
     spec = _spec_from_args(parser, args)
     kind = DeformationKind(args.kind)
     hold = args.hold.replace("-", "_")
-    report = estimation_report(spec, kind, args.epsilon,
-                               DerivativeConfig(), args.tol, hold)
+    report = estimation_report(spec, kind, args.epsilon, args.tol, hold)
     if args.format == "json":
         text = _json_text(serialize.report_to_dict(report))
     else:
@@ -238,8 +235,7 @@ def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> int:
             spec = FAMILIES[args.family].from_mean_photon(n_value)
             if not args.raw_intensity:
                 spec = calibrate_intensity(spec, params, n_value, args.tol)
-            report = estimation_report(spec, kind, eps, None, args.tol,
-                                       hold="mean_photon")
+            report = estimation_report(spec, kind, eps, args.tol, hold="mean_photon")
             leading = leading_order_qsnr(family_class_of(spec), kind, eps, n_value)
             rows.append({
                 "epsilon": eps,
@@ -305,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"qdeform: domain error: {exc}\n")
         return EXIT_DOMAIN
-    except (DivergenceError, DerivativeInstabilityError, BenchmarkError) as exc:
+    except (DivergenceError, BenchmarkError) as exc:
         sys.stderr.write(f"qdeform: numerical error: {exc}\n")
         return EXIT_NUMERICAL
 

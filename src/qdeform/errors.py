@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: domain errors exit 2, numerical
-divergence/instability errors exit 3.
+The CLI maps these onto exit codes: domain errors exit 2, divergence and
+benchmark errors exit 3.  DerivativeInstabilityError comes only from the
+finite-difference validation check, which no CLI path runs.
 """
 
 

@@ -29,33 +29,30 @@ Two parametrizations of the epsilon-family are exposed via `hold`:
       maximum-likelihood search over epsilon at known intensity actually
       explores, hence what the Cramer-Rao benchmark must use.
 
-Finite differences (central, with a step-halving Richardson pair) are kept
-as a validation path for the analytic derivatives.  One stencil yields both
-F and H there, and estimation_report checks F <= H on that path.
+Every quantity here comes from the analytic score, summed over the levels
+with p_n above PROB_FLOOR.  The finite-difference check of that score, and
+the other validation-only helpers, live outside the production modules,
+which never import them.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
 
 import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
-from .errors import DerivativeInstabilityError, DivergenceError, DomainError
+from .errors import DivergenceError, DomainError
 from .states import (
     PhotonDistribution,
     ProbeSpec,
     _probe,
     build_distribution,
-    fixed_support_log_probs,
     mean_photon,
 )
 
 __all__ = [
-    "DerivativeConfig",
     "EstimationReport",
     "classical_fisher",
     "qfi_pure",
@@ -72,34 +69,6 @@ PROB_FLOOR = 1e-30
 # range, and a beta large enough that thermal weights underflow before the
 # level coefficients gamma_n overflow (beta * gamma_n reaches about e^9.8).
 _LN_INTENSITY_BOUND = 700.0
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class DerivativeConfig:
-    """How epsilon-derivatives are evaluated.
-
-    method "analytic" uses closed-form log-weight derivatives; "fd" uses
-    central finite differences at `step` (default max(1e-7, 1e-3 |eps|)),
-    returning the Richardson extrapolant of the step and half-step values
-    and raising DerivativeInstabilityError when the pair disagrees by more
-    than richardson_rtol in relative terms.
-    """
-
-    method: str = "analytic"
-    step: Optional[float] = None
-    richardson_rtol: float = 1e-4
-    prob_floor: float = PROB_FLOOR
-
-    def __post_init__(self) -> None:
-        if self.method not in ("analytic", "fd"):
-            raise DomainError(f"method must be 'analytic' or 'fd', got {self.method!r}")
-
-    def step_for(self, epsilon: float) -> float:
-        if self.step is not None:
-            return self.step
-        return max(1e-7, 1e-3 * abs(epsilon))
 
 
 @dataclass(frozen=True)
@@ -120,9 +89,9 @@ class EstimationReport:
     m_delta_coeff: float
 
 
-def _masked(dist: PhotonDistribution, floor: float):
+def _masked(dist: PhotonDistribution):
     p = dist.probs
-    mask = p > floor
+    mask = p > PROB_FLOOR
     pm = p[mask]
     pm = pm / pm.sum()
     n = np.arange(dist.n_max + 1, dtype=float)[mask]
@@ -139,27 +108,10 @@ def _score_variance(pm: np.ndarray, s: np.ndarray) -> float:
     return float(pm @ (sc * sc))
 
 
-def _report_dropped(dist: PhotonDistribution, d: np.ndarray, mask: np.ndarray,
-                    floor: float) -> None:
-    """Bound the Fisher contribution of sub-floor terms (debug report)."""
-    dropped = (~mask) & (dist.probs > 0.0) & np.isfinite(d)
-    if not (np.any(dropped) or dist.tail_bound > 0.0):
-        return
-    if logger.isEnabledFor(logging.DEBUG):
-        center = float(dist.probs[mask] @ d[mask]) / float(dist.probs[mask].sum())
-        bound = float(dist.probs[dropped] @ (d[dropped] - center) ** 2)
-        logger.debug(
-            "Fisher sum dropped %d terms below %.1e: bounded contribution "
-            "%.3e, plus certified tail mass %.3e",
-            int(dropped.sum()), floor, bound, dist.tail_bound,
-        )
-
-
-def _analytic_score(dist: PhotonDistribution, hold: str, floor: float):
+def _analytic_score(dist: PhotonDistribution, hold: str):
     """Centered epsilon-score on the masked support, per the hold convention."""
     d = dist.spec.eps_score(dist.params, dist.n_max)
-    mask, pm, n = _masked(dist, floor)
-    _report_dropped(dist, d, mask, floor)
+    mask, pm, n = _masked(dist)
     dm = d[mask]
     if hold == "intensity":
         return pm, dm
@@ -218,7 +170,7 @@ def calibrate_intensity(
         mean = mean_photon(dist)
         if abs(mean - mean_target) <= rtol * max(1.0, mean_target):
             return current
-        mask, pm, n = _masked(dist, PROB_FLOOR)
+        mask, pm, n = _masked(dist)
         theta = getattr(current, field)
         x = math.log(theta)
         u = theta * current.intensity_score(params, dist.n_max)[mask]  # d ln w_n / d x
@@ -247,78 +199,16 @@ def calibrate_intensity(
     raise DivergenceError(f"intensity calibration did not converge for target {mean_target}")
 
 
-def _fd_probs(
-    center: PhotonDistribution,
-    h: float,
-    tol: float,
-    hold: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Probabilities at eps and the four-point stencil, on a common support."""
-    spec, kind, epsilon = center.spec, center.params.kind, center.params.epsilon
-    target = mean_photon(center)
-    stencil = [epsilon - h, epsilon - h / 2, epsilon + h / 2, epsilon + h]
-    specs = []
-    n_support = center.n_max
-    for e in stencil:
-        pe = DeformationParams(kind, e)
-        se = calibrate_intensity(spec, pe, target, tol) if hold == "mean_photon" else spec
-        specs.append(se)
-        n_support = max(n_support, build_distribution(se, pe, tol).n_max)
-    cols = [np.exp(fixed_support_log_probs(spec, center.params, n_support))]
-    for e, se in zip(stencil, specs):
-        cols.append(np.exp(fixed_support_log_probs(se, DeformationParams(kind, e), n_support)))
-    pc, pm1, pm2, pp2, pp1 = cols
-    return pc, pm1, pm2, pp2, pp1
-
-
-def _fd_information(
-    center: PhotonDistribution,
-    cfg: DerivativeConfig,
-    tol: float,
-    hold: str,
-) -> Tuple[float, float]:
-    """Richardson extrapolants of F = sum dp^2/p and H = 4 sum (d sqrt p)^2
-    from one stencil at steps h and h/2; raises DerivativeInstabilityError
-    when either pair disagrees by more than cfg.richardson_rtol."""
-    h = cfg.step_for(center.params.epsilon)
-    pc, pm1, pm2, pp2, pp1 = _fd_probs(center, h, tol, hold)
-    mask = pc > cfg.prob_floor
-
-    def fisher_at(plus, minus, step):
-        dp = (plus[mask] - minus[mask]) / (2.0 * step)
-        return float(np.sum(dp * dp / pc[mask]))
-
-    def qfi_at(plus, minus, step):
-        dpsi = (np.sqrt(plus[mask]) - np.sqrt(minus[mask])) / (2.0 * step)
-        return 4.0 * float(np.sum(dpsi * dpsi))
-
-    out = []
-    for name, at in (("Fisher", fisher_at), ("QFI", qfi_at)):
-        f_h = at(pp1, pm1, h)
-        f_h2 = at(pp2, pm2, h / 2)
-        f_rich = (4.0 * f_h2 - f_h) / 3.0
-        if abs(f_h - f_h2) > cfg.richardson_rtol * max(abs(f_rich), 1e-300):
-            raise DerivativeInstabilityError(
-                f"finite-difference {name} estimates disagree: {f_h} vs {f_h2} at step {h}"
-            )
-        out.append(f_rich)
-    return out[0], out[1]
-
-
 def classical_fisher(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    deriv: Optional[DerivativeConfig] = None,
     tol: float = 1e-12,
     hold: str = "mean_photon",
 ) -> float:
     """Classical Fisher information of photon counting for estimating epsilon."""
-    cfg = deriv or DerivativeConfig()
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    if cfg.method == "fd":
-        return _fd_information(dist, cfg, tol, hold)[0]
-    pm, s = _analytic_score(dist, hold, cfg.prob_floor)
+    pm, s = _analytic_score(dist, hold)
     return _score_variance(pm, s)
 
 
@@ -326,18 +216,14 @@ def qfi_pure(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    deriv: Optional[DerivativeConfig] = None,
     tol: float = 1e-12,
     hold: str = "mean_photon",
 ) -> float:
     """QFI of a pure real-amplitude probe (coherent or cat): 4 sum (d psi_n)^2."""
     if not _probe(spec).pure:
         raise DomainError("qfi_pure applies to pure probes (coherent, cat)")
-    cfg = deriv or DerivativeConfig()
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    if cfg.method == "fd":
-        return _fd_information(dist, cfg, tol, hold)[1]
-    pm, s = _analytic_score(dist, hold, cfg.prob_floor)
+    pm, s = _analytic_score(dist, hold)
     sc = s - float(pm @ s)
     dpsi = 0.5 * np.sqrt(pm) * sc  # d psi = psi * (d ln p)/2 for real psi
     return 4.0 * float(np.sum(dpsi * dpsi))
@@ -347,7 +233,6 @@ def qfi_diagonal(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    deriv: Optional[DerivativeConfig] = None,
     tol: float = 1e-12,
     hold: str = "mean_photon",
 ) -> float:
@@ -355,7 +240,7 @@ def qfi_diagonal(
     because Fock states do not move with epsilon, leaving the classical sum."""
     if _probe(spec).pure:
         raise DomainError("qfi_diagonal applies to Fock-diagonal probes (thermal)")
-    return classical_fisher(spec, kind, epsilon, deriv, tol, hold)
+    return classical_fisher(spec, kind, epsilon, tol, hold)
 
 
 def qsnr(epsilon: float, qfi: float) -> float:
@@ -412,29 +297,17 @@ def estimation_report(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    deriv: Optional[DerivativeConfig] = None,
     tol: float = 1e-12,
     hold: str = "mean_photon",
 ) -> EstimationReport:
     """Assemble Fisher information, QFI, QSNR, mean photon and M_delta.
 
-    One build serves every field.  Analytically H is taken as F, the
-    identity for these families; the finite-difference path estimates both
-    from one stencil and checks F <= H.
+    One build serves every field, and H is taken as F, the identity for
+    these families.
     """
-    cfg = deriv or DerivativeConfig()
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    if cfg.method == "fd":
-        fisher, qfi = _fd_information(dist, cfg, tol, hold)
-        if not spec.pure:
-            qfi = fisher  # Fock-diagonal: H is the classical sum (qfi_diagonal)
-        if fisher > qfi * (1.0 + 1e-8) + 1e-300:
-            raise DerivativeInstabilityError(
-                f"finite-difference F = {fisher} exceeds QFI = {qfi}"
-            )
-    else:
-        pm, s = _analytic_score(dist, hold, cfg.prob_floor)
-        fisher = qfi = _score_variance(pm, s)
+    pm, s = _analytic_score(dist, hold)
+    fisher = qfi = _score_variance(pm, s)
     q = qsnr(epsilon, qfi)
     return EstimationReport(
         spec=spec,

@@ -34,12 +34,7 @@ import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
 from .errors import BenchmarkError, DomainError, OutOfSupportError
-from .estimation import (
-    PROB_FLOOR,
-    DerivativeConfig,
-    _analytic_score,
-    classical_fisher,
-)
+from .estimation import _analytic_score, classical_fisher
 from .states import (
     PhotonDistribution,
     ProbeSpec,
@@ -300,7 +295,7 @@ def log_likelihood_gradient(
         raise OutOfSupportError(
             f"observed outcome n={int(ns[-1])} beyond certified support {dist.n_max}"
         )
-    pm, s = _analytic_score(dist, "intensity", PROB_FLOOR)
+    pm, s = _analytic_score(dist, "intensity")
     sbar = float(pm @ s)
     d_full = spec.eps_score(dist.params, dist.n_max)
     return float(cs @ (d_full[ns] - sbar))
@@ -364,9 +359,7 @@ def crb_benchmark(
     if replications < 50:
         warnings.warn("fewer than 50 replications: variance estimate will be noisy",
                       RuntimeWarning, stacklevel=2)
-    fisher = classical_fisher(
-        spec, kind, epsilon_true, DerivativeConfig(), tol, hold="intensity"
-    )
+    fisher = classical_fisher(spec, kind, epsilon_true, tol, hold="intensity")
     if fisher <= 1e-280:
         return CrbBenchmark(
             epsilon_true=epsilon_true,

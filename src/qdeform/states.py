@@ -21,6 +21,10 @@ deformation with epsilon < 0 has a bounded spectrum (gamma_n saturates at
 1/|epsilon|), so the weights diverge once m_divergence_rate |epsilon|
 reaches 1 -- for every thermal state (the rate is infinite) and for
 coherent/cat states once |alpha|^2 |epsilon| >= 1.
+
+The cat normalization formula and the large-n probabilities are checked
+by the tests against independent evaluations (an alternating sum, and
+50-digit recurrences); nothing here calls those checks.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ __all__ = [
     "mean_photon",
     "mean_photon_expansion",
     "extend_truncation",
-    "cat_normalization_crosscheck",
 ]
 
 HARD_CAP = 1_000_000
@@ -440,33 +443,9 @@ def cat_distribution(
     Odd Fock entries vanish identically; even amplitudes are
     2 psi_n / sqrt(W) with W the superposition normalization.  The build
     normalizes the even weights directly; the tests check that W agrees
-    with the alternating-sum formula (cat_normalization_crosscheck).
+    with the alternating-sum formula 2[1 + C(-x)/C(x)].
     """
     return _with_amplitudes(build_distribution(spec, params, tol))
-
-
-def cat_normalization_crosscheck(
-    spec: CatSpec,
-    params: DeformationParams,
-    tol: float = DEFAULT_TOL,
-) -> Tuple[float, float]:
-    """The cat normalization W computed two ways (they must agree).
-
-    Returns (from the alternating-sum formula 2[1 + C(-x)/C(x)],
-    from direct even-term summation 4 S_even / C(x)).
-    """
-    coherent = CoherentSpec(spec.alpha_sq)
-    dist, _ = coherent_distribution(coherent, params, tol)
-    lnw = coherent.log_weight_rows(params.kind, [params.epsilon], dist.n_max)[0]
-    m = float(np.max(lnw))
-    w = np.exp(lnw - m)
-    c_plus = float(np.sum(w))
-    s_even = float(np.sum(w[0::2]))
-    s_odd = float(np.sum(w[1::2]))
-    c_minus = s_even - s_odd
-    w_formula = 2.0 * (1.0 + c_minus / c_plus)
-    w_direct = 4.0 * s_even / c_plus
-    return w_formula, w_direct
 
 
 def mean_photon(dist: PhotonDistribution) -> float:

@@ -38,7 +38,8 @@ from qdeform.states import (
     mean_photon,
     mean_photon_expansion,
 )
-from qdeform.algebra import g_product, log_delta_values
+from qdeform.algebra import log_delta_values
+from qdeform.oracles import g_product
 
 M, P = DeformationKind.M, DeformationKind.P
 

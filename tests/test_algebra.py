@@ -18,11 +18,8 @@ import pytest
 from qdeform.algebra import (
     DeformationKind,
     DeformationParams,
-    delta_series,
     dlog_delta_values,
     dlog_q_number_values,
-    g_product,
-    gamma_coefficient,
     gamma_values,
     log_delta,
     log_delta_values,
@@ -31,6 +28,7 @@ from qdeform.algebra import (
 )
 from qdeform.errors import DomainError
 from qdeform.estimation import classical_fisher
+from qdeform.oracles import delta_series, g_product, gamma_series
 from qdeform.states import CoherentSpec
 
 M, P = DeformationKind.M, DeformationKind.P
@@ -204,27 +202,24 @@ class TestDeltaSeries:
 
 class TestGamma:
     def test_m_matches_q_number(self):
-        pr = params(M, 0.1)
-        assert gamma_coefficient(pr, 2) == pytest.approx(2.1, rel=1e-14)
-        for n in range(10):
-            assert gamma_coefficient(pr, n) == q_number(pr, n)
+        assert q_number(params(M, 0.1), 2) == pytest.approx(2.1, rel=1e-14)
 
     def test_undeformed(self):
-        assert gamma_coefficient(params(P, 0.0), 7) == 7.0
+        assert q_number(params(P, 0.0), 7) == 7.0
 
     def test_m_series(self):
         eps = 1e-4
         # gamma_3 ~ 3 + 3 eps
-        assert gamma_coefficient(params(M, eps), 3, series=True) == pytest.approx(3 + 3 * eps)
-        exact = gamma_coefficient(params(M, eps), 3)
+        assert gamma_series(params(M, eps), 3) == pytest.approx(3 + 3 * eps)
+        exact = q_number(params(M, eps), 3)
         assert exact == pytest.approx(3 + 3 * eps, abs=5 * eps ** 2)
 
     def test_p_series(self):
         eps = 1e-3
         # gamma_n ~ n + eps^2 n(n^2-1)/6
-        approx = gamma_coefficient(params(P, eps), 4, series=True)
+        approx = gamma_series(params(P, eps), 4)
         assert approx == pytest.approx(4 + eps * eps * 4 * 15 / 6)
-        exact = gamma_coefficient(params(P, eps), 4)
+        exact = q_number(params(P, eps), 4)
         assert exact == pytest.approx(approx, abs=5e-7)
 
 

@@ -6,6 +6,8 @@ import argparse
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,6 @@ from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.cli import build_parser
 from qdeform.errors import DivergenceError, DomainError
 from qdeform.estimation import (
-    DerivativeConfig,
     calibrate_intensity,
     classical_fisher,
     estimation_report,
@@ -28,6 +29,7 @@ from qdeform.estimation import (
     qfi_pure,
 )
 from qdeform.montecarlo import crb_benchmark
+from qdeform.oracles import fd_information
 from qdeform.states import (
     FAMILIES,
     build_distribution,
@@ -75,6 +77,22 @@ class TestConformance:
         for path in sorted(Path(qdeform.__file__).parent.glob("*.py")):
             for number, line in enumerate(path.read_text().splitlines(), start=1):
                 assert not pattern.search(line), f"{path.name}:{number}: {line.strip()}"
+
+    def test_production_modules_leave_the_oracles_alone(self):
+        pattern = re.compile(r'oracles|DerivativeConfig|method == "fd"')
+        for path in sorted(Path(qdeform.__file__).parent.glob("*.py")):
+            if path.name == "oracles.py":
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), start=1):
+                assert not pattern.search(line), f"{path.name}:{number}: {line.strip()}"
+
+    def test_importing_the_package_and_cli_loads_no_oracles(self):
+        src = str(Path(qdeform.__file__).parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import qdeform, qdeform.cli; "
+                "print('qdeform.oracles' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
     @pytest.mark.parametrize("call", [
         lambda s: build_distribution(s, DeformationParams(M, 0.0)),
@@ -178,5 +196,5 @@ def test_analytic_fisher_matches_finite_differences(cls, kind, size, negative, n
     spec = cls.from_mean_photon(n)
     assume(not _near_divergence(spec, kind, eps))
     analytic = classical_fisher(spec, kind, eps, hold="intensity")
-    fd = classical_fisher(spec, kind, eps, DerivativeConfig(method="fd"), hold="intensity")
+    fd, _ = fd_information(spec, kind, eps, hold="intensity")
     assert fd == pytest.approx(analytic, rel=1e-5)

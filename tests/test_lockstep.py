@@ -17,7 +17,7 @@ import pytest
 import qdeform.montecarlo as mc
 from qdeform.algebra import DeformationKind, DeformationParams, _log_q_rows
 from qdeform.errors import DivergenceError, OutOfSupportError
-from qdeform.estimation import DerivativeConfig, classical_fisher
+from qdeform.estimation import classical_fisher
 from qdeform.montecarlo import CrbBenchmark, MleResult, crb_benchmark, sample_counts
 from qdeform.states import (
     CatSpec,
@@ -137,8 +137,7 @@ def ref_mle(sample, spec, kind, a, b, n_support, xtol=1e-10, max_iter=200):
 
 
 def ref_crb(spec, kind, epsilon_true, shots, replications, seed):
-    fisher = classical_fisher(spec, kind, epsilon_true, DerivativeConfig(), 1e-12,
-                              hold="intensity")
+    fisher = classical_fisher(spec, kind, epsilon_true, 1e-12, hold="intensity")
     crb = 1.0 / (shots * fisher)
     half = max(0.02, 20.0 / math.sqrt(shots * fisher))
     lo = max(epsilon_true - half, -0.5, mc._min_admissible_epsilon(spec, kind))

@@ -10,6 +10,7 @@ import pytest
 from qdeform import states
 from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DivergenceError, DomainError
+from qdeform.oracles import cat_normalization_crosscheck
 from qdeform.states import (
     CatSpec,
     CoherentSpec,
@@ -17,7 +18,6 @@ from qdeform.states import (
     _logsumexp,
     build_distribution,
     cat_distribution,
-    cat_normalization_crosscheck,
     coherent_distribution,
     extend_truncation,
     fixed_support_log_probs,
@@ -342,3 +342,66 @@ class TestHighPrecisionOracle:
             expected = float(weights[n] / total)
             if expected > 1e-18:
                 assert dist.probs[n] == pytest.approx(expected, rel=1e-10)
+
+
+# --------------------------------------------------------------------------
+# 50-digit mpmath oracle for normalized probabilities at large n.  The
+# weights come from the defining recurrences [j+1] = 1 + q [j] (M) and
+# [j+1] = q [j] + q^-j (P), not from the closed forms, and are normalized
+# over 3 n_max levels, so the reference carries no truncation of its own.
+
+
+def mp_log_probs(spec, kind, eps, n_ref):
+    """ln p_n for n = 0..n_ref as 50-digit mpmath numbers (-inf off support)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q = 1 + mp.mpf(eps)
+        q_inv = 1 / q
+        q_numbers, q_pow = [mp.mpf(0), mp.mpf(1)], q_inv
+        for j in range(1, n_ref + 1):
+            if kind is M:
+                q_numbers.append(1 + q * q_numbers[j])
+            else:
+                q_numbers.append(q * q_numbers[j] + q_pow)
+                q_pow *= q_inv
+        if spec.family == "thermal":
+            half_beta = mp.mpf(spec.beta) / 2
+            lnw = [-half_beta * (q_numbers[n + 1] + q_numbers[n] - 1)
+                   for n in range(n_ref + 1)]
+        else:
+            ln_alpha_sq, ln_delta, lnw = mp.log(mp.mpf(spec.alpha_sq)), mp.mpf(0), []
+            for n in range(n_ref + 1):
+                if n:
+                    ln_delta += mp.log(q_numbers[n])
+                lnw.append(n * ln_alpha_sq - ln_delta)
+        support = range(0, n_ref + 1, spec.step)
+        top = max(lnw[n] for n in support)
+        ln_z = top + mp.log(mp.fsum(mp.exp(lnw[n] - top) for n in support))
+        return [lnw[n] - ln_z if n % spec.step == 0 else -mp.inf for n in range(n_ref + 1)]
+
+
+class TestMpmathProbabilities:
+    # Bounds are about 2.5x the worst |d ln p_n| measured over the support:
+    # coherent |alpha|^2 = 1000 7.8e-12 (M, 1e-4; n_max 1172) and 7.7e-12
+    # (P, 1e-3), cat 400 3.2e-12; thermal n_T = 500 3.6e-14 (M, 1e-5;
+    # n_max 12896) and 2.8e-14 (P, 1e-3), n_T = 20 1.8e-14 (P, 0.05).
+    @pytest.mark.parametrize("spec, kind, eps, bound", [
+        (CoherentSpec(1000.0), M, 1e-4, 2e-11),
+        (CoherentSpec(1000.0), P, 1e-3, 2e-11),
+        (CatSpec(400.0), M, -1e-3, 2e-11),
+        (ThermalSpec.from_mean_photon(500.0), M, 1e-5, 1e-13),
+        (ThermalSpec.from_mean_photon(500.0), P, 1e-3, 1e-13),
+        (ThermalSpec.from_mean_photon(20.0), P, 0.05, 1e-13),
+    ])
+    def test_log_probs_and_probs(self, spec, kind, eps, bound):
+        dist = build_distribution(spec, params(kind, eps))
+        ref = mp_log_probs(spec, kind, eps, 3 * dist.n_max)[:dist.n_max + 1]
+        want = np.array([float(x) for x in ref])
+        on = slice(0, None, spec.step)
+        assert np.max(np.abs(dist.log_probs[on] - want[on])) <= bound
+        p_want = np.exp(want[on])
+        tiny = np.finfo(float).tiny  # below it probs are subnormal or 0
+        assert np.all(np.abs(dist.probs[on] - p_want) <= bound * p_want + tiny)
+        if spec.step == 2:
+            assert np.all(dist.probs[1::2] == 0.0)
+            assert np.all(dist.log_probs[1::2] == -np.inf)
