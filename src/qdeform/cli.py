@@ -1,9 +1,9 @@
 """Command-line surface: state construction, Fisher reports, QSNR sweeps,
 and Cramer-Rao benchmarks, emitting JSON or CSV.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 numerical
-divergence.  Output files are written atomically (temp file +
-rename); stdout is used when --out is omitted.
+Exit codes: 0 success, 1 usage error or a closed output pipe, 2 domain
+error, 3 numerical divergence.  Output files are written atomically (temp
+file + rename); stdout is used when --out is omitted.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe fails here, inside main
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".qdeform-", suffix=".tmp")
@@ -283,9 +284,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         if args.command == "state":
             return _cmd_state(parser, args)
         if args.command == "fisher":
@@ -304,6 +302,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DivergenceError, BenchmarkError) as exc:
         sys.stderr.write(f"qdeform: numerical error: {exc}\n")
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head -1`).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ and JSON round-trips."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qdeform
 from qdeform import serialize
 from qdeform.cli import main
 
@@ -250,6 +253,22 @@ class TestExitCodes:
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    def test_closed_pipe_exit_1_without_traceback(self):
+        # A reader that has already gone (`| head -1`): stdout is a pipe
+        # whose read end is closed, so the first write fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qdeform.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdeform.cli", "fisher", "--family", "coherent",
+                 "--alpha-sq", "10", "--kind", "M", "--epsilon", "1e-3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestOutputFiles:
