@@ -21,8 +21,6 @@ from .estimation import (
     estimation_report,
     leading_order_qsnr,
     measurements_needed,
-    qfi_diagonal,
-    qfi_pure,
     qsnr,
 )
 from .montecarlo import (
@@ -35,19 +33,14 @@ from .montecarlo import (
     sample_counts,
 )
 from .states import (
-    AmplitudeVector,
     CatSpec,
     CoherentSpec,
     PhotonDistribution,
     ProbeSpec,
     ThermalSpec,
     build_distribution,
-    cat_distribution,
-    coherent_distribution,
-    extend_truncation,
     mean_photon,
     mean_photon_expansion,
-    thermal_distribution,
 )
 
 __version__ = "0.1.0"
@@ -62,18 +55,11 @@ __all__ = [
     "CatSpec",
     "ProbeSpec",
     "PhotonDistribution",
-    "AmplitudeVector",
-    "coherent_distribution",
-    "thermal_distribution",
-    "cat_distribution",
     "build_distribution",
     "mean_photon",
     "mean_photon_expansion",
-    "extend_truncation",
     "EstimationReport",
     "classical_fisher",
-    "qfi_pure",
-    "qfi_diagonal",
     "qsnr",
     "measurements_needed",
     "leading_order_qsnr",

@@ -13,10 +13,9 @@ through centering, which makes sum_n dp_n = 0 an exact identity (checked
 at run time).  Because the Fock basis is unaffected by the deformation,
 the QFI of these families equals F: for pure real-amplitude probes
 H = 4 sum_n (d psi_n)^2, and for Fock-diagonal mixtures H reduces to the
-same diagonal sum.  An analytic estimation_report therefore builds its
-distribution once, computes F once and reports it as H as well; qfi_pure
-and qfi_diagonal keep the separate formulas, which the tests compare
-with F.
+same diagonal sum.  estimation_report therefore builds its distribution
+once, computes F once and reports it as H as well.  The tests compare F
+with the pure-state form, which lives in the validation module.
 
 Two parametrizations of the epsilon-family are exposed via `hold`:
 
@@ -55,8 +54,6 @@ from .states import (
 __all__ = [
     "EstimationReport",
     "classical_fisher",
-    "qfi_pure",
-    "qfi_diagonal",
     "qsnr",
     "measurements_needed",
     "leading_order_qsnr",
@@ -210,37 +207,6 @@ def classical_fisher(
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
     pm, s = _analytic_score(dist, hold)
     return _score_variance(pm, s)
-
-
-def qfi_pure(
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    epsilon: float,
-    tol: float = 1e-12,
-    hold: str = "mean_photon",
-) -> float:
-    """QFI of a pure real-amplitude probe (coherent or cat): 4 sum (d psi_n)^2."""
-    if not _probe(spec).pure:
-        raise DomainError("qfi_pure applies to pure probes (coherent, cat)")
-    dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    pm, s = _analytic_score(dist, hold)
-    sc = s - float(pm @ s)
-    dpsi = 0.5 * np.sqrt(pm) * sc  # d psi = psi * (d ln p)/2 for real psi
-    return 4.0 * float(np.sum(dpsi * dpsi))
-
-
-def qfi_diagonal(
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    epsilon: float,
-    tol: float = 1e-12,
-    hold: str = "mean_photon",
-) -> float:
-    """QFI of a Fock-diagonal probe (thermal): the off-diagonal sector drops
-    because Fock states do not move with epsilon, leaving the classical sum."""
-    if _probe(spec).pure:
-        raise DomainError("qfi_diagonal applies to Fock-diagonal probes (thermal)")
-    return classical_fisher(spec, kind, epsilon, tol, hold)
 
 
 def qsnr(epsilon: float, qfi: float) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
 from .errors import BenchmarkError, DomainError, OutOfSupportError
-from .estimation import _analytic_score, classical_fisher
+from .estimation import _analytic_score, _score_variance
 from .states import (
     PhotonDistribution,
     ProbeSpec,
@@ -49,7 +49,6 @@ __all__ = [
     "CrbBenchmark",
     "sample_counts",
     "log_likelihood",
-    "log_likelihood_gradient",
     "mle_epsilon",
     "crb_benchmark",
 ]
@@ -281,26 +280,6 @@ def log_likelihood(
     return float(value)
 
 
-def log_likelihood_gradient(
-    sample: CountSample,
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    epsilon: float,
-    tol: float = 1e-12,
-) -> float:
-    """d/d epsilon of the log-likelihood, from the analytic score."""
-    ns, cs = _counts_arrays(sample)
-    dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    if int(ns[-1]) > dist.n_max:
-        raise OutOfSupportError(
-            f"observed outcome n={int(ns[-1])} beyond certified support {dist.n_max}"
-        )
-    pm, s = _analytic_score(dist, "intensity")
-    sbar = float(pm @ s)
-    d_full = spec.eps_score(dist.params, dist.n_max)
-    return float(cs @ (d_full[ns] - sbar))
-
-
 def mle_epsilon(
     sample: CountSample,
     spec: ProbeSpec,
@@ -359,7 +338,8 @@ def crb_benchmark(
     if replications < 50:
         warnings.warn("fewer than 50 replications: variance estimate will be noisy",
                       RuntimeWarning, stacklevel=2)
-    fisher = classical_fisher(spec, kind, epsilon_true, tol, hold="intensity")
+    dist = build_distribution(spec, DeformationParams(kind, epsilon_true), tol)
+    fisher = _score_variance(*_analytic_score(dist, "intensity"))
     if fisher <= 1e-280:
         return CrbBenchmark(
             epsilon_true=epsilon_true,
@@ -381,7 +361,6 @@ def crb_benchmark(
         bracket = (lo, hi)
 
     a, b = _ordered_bracket(bracket)
-    dist = build_distribution(spec, DeformationParams(kind, epsilon_true), tol)
     n_support = _bracket_support(spec, kind, a, b, tol)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, np.uint64)
     samples = [_counts_arrays(sample_counts(dist, shots, int(s))) for s in rep_seeds]

@@ -2,6 +2,12 @@
 modules compute another way.  Nothing in the package imports this module;
 the tests do.
 
+  qfi_pure                       H = 4 sum (d psi_n)^2 of a pure probe, the
+                                 second route to H = F
+  fixed_support_log_probs        ln p_n over a given support at one epsilon,
+                                 for stencils that must share their outcomes
+  log_likelihood_gradient        d/d eps of a sample's log-likelihood, which
+                                 vanishes at the maximum-likelihood estimate
   fd_information                 F and H from central finite differences of
                                  the probabilities, against the analytic score
   g_product                      the finite product prod (1 - a b^k), whose
@@ -20,26 +26,87 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
-from .errors import DerivativeInstabilityError, DomainError
-from .estimation import PROB_FLOOR, calibrate_intensity
+from .errors import DerivativeInstabilityError, DomainError, OutOfSupportError
+from .estimation import PROB_FLOOR, _analytic_score, calibrate_intensity
+from .montecarlo import CountSample, _counts_arrays
 from .states import (
     DEFAULT_TOL,
     CatSpec,
     CoherentSpec,
     PhotonDistribution,
     ProbeSpec,
+    _check_normalizable,
+    _fixed_support_log_prob_rows,
+    _probe,
     build_distribution,
-    fixed_support_log_probs,
     mean_photon,
 )
 
 __all__ = [
+    "qfi_pure",
+    "fixed_support_log_probs",
+    "log_likelihood_gradient",
     "fd_information",
     "g_product",
     "delta_series",
     "gamma_series",
     "cat_normalization_crosscheck",
 ]
+
+
+def qfi_pure(
+    spec: ProbeSpec,
+    kind: DeformationKind,
+    epsilon: float,
+    tol: float = 1e-12,
+    hold: str = "mean_photon",
+) -> float:
+    """QFI of a pure real-amplitude probe (coherent or cat): 4 sum (d psi_n)^2."""
+    if not _probe(spec).pure:
+        raise DomainError("qfi_pure applies to pure probes (coherent, cat)")
+    dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
+    pm, s = _analytic_score(dist, hold)
+    sc = s - float(pm @ s)
+    dpsi = 0.5 * np.sqrt(pm) * sc  # d psi = psi * (d ln p)/2 for real psi
+    return 4.0 * float(np.sum(dpsi * dpsi))
+
+
+def fixed_support_log_probs(
+    spec: ProbeSpec,
+    params: DeformationParams,
+    n_support: int,
+) -> np.ndarray:
+    """ln p_n for n = 0..n_support, normalized over exactly that support.
+
+    For finite-difference stencils, where several nearby states must share
+    one outcome support.  The caller is responsible for sizing n_support so
+    the omitted mass is negligible (e.g. from an adaptive build at the
+    slowest-decaying parameter point).
+    """
+    if n_support < 0:
+        raise DomainError("n_support must be >= 0")
+    _check_normalizable(spec, params)
+    return _fixed_support_log_prob_rows(spec, params.kind, [params.epsilon], n_support)[0]
+
+
+def log_likelihood_gradient(
+    sample: CountSample,
+    spec: ProbeSpec,
+    kind: DeformationKind,
+    epsilon: float,
+    tol: float = 1e-12,
+) -> float:
+    """d/d epsilon of the log-likelihood, from the analytic score."""
+    ns, cs = _counts_arrays(sample)
+    dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
+    if int(ns[-1]) > dist.n_max:
+        raise OutOfSupportError(
+            f"observed outcome n={int(ns[-1])} beyond certified support {dist.n_max}"
+        )
+    pm, s = _analytic_score(dist, "intensity")
+    sbar = float(pm @ s)
+    d_full = spec.eps_score(dist.params, dist.n_max)
+    return float(cs @ (d_full[ns] - sbar))
 
 
 def fd_information(

@@ -18,7 +18,7 @@ from .algebra import DeformationKind, DeformationParams
 from .errors import DomainError
 from .estimation import EstimationReport
 from .montecarlo import CrbBenchmark
-from .states import FAMILIES, PhotonDistribution, ProbeSpec, _probe
+from .states import FAMILIES, PhotonDistribution, ProbeSpec, _probe, mean_photon
 
 __all__ = [
     "spec_to_dict",
@@ -63,7 +63,6 @@ def spec_from_dict(data: Dict[str, Any]) -> ProbeSpec:
 
 
 def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:
-    n = np.arange(dist.n_max + 1, dtype=float)
     return {
         "type": "photon_distribution",
         **spec_to_dict(dist.spec),
@@ -71,7 +70,7 @@ def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:
         "epsilon": dist.params.epsilon,
         "n_max": dist.n_max,
         "tail_bound": dist.tail_bound,
-        "mean_photon": float(n @ dist.probs),
+        "mean_photon": mean_photon(dist),
         "probs": [float(p) for p in dist.probs],
         "log_probs": [None if math.isinf(lp) else float(lp) for lp in dist.log_probs],
     }

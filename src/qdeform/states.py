@@ -52,14 +52,9 @@ __all__ = [
     "ProbeSpec",
     "FAMILIES",
     "PhotonDistribution",
-    "AmplitudeVector",
-    "coherent_distribution",
-    "thermal_distribution",
-    "cat_distribution",
     "build_distribution",
     "mean_photon",
     "mean_photon_expansion",
-    "extend_truncation",
 ]
 
 HARD_CAP = 1_000_000
@@ -255,17 +250,6 @@ class PhotonDistribution:
     spec: ProbeSpec
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeVector:
-    """Real Fock amplitudes of a pure probe (alpha taken real nonnegative)."""
-
-    amps: np.ndarray
-    n_max: int
-    tail_bound: float
-    params: DeformationParams
-    spec: ProbeSpec
-
-
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """ln sum exp(a) along the last axis, with scipy.special.logsumexp's formula.
 
@@ -408,46 +392,6 @@ def _check_normalizable(spec: ProbeSpec, params: DeformationParams) -> None:
         )
 
 
-def _with_amplitudes(dist: PhotonDistribution) -> Tuple[PhotonDistribution, AmplitudeVector]:
-    """The distribution and its real amplitudes sqrt(p_n) (alpha real >= 0)."""
-    amps = AmplitudeVector(amps=np.sqrt(dist.probs), n_max=dist.n_max,
-                           tail_bound=dist.tail_bound, params=dist.params, spec=dist.spec)
-    return dist, amps
-
-
-def coherent_distribution(
-    spec: CoherentSpec,
-    params: DeformationParams,
-    tol: float = DEFAULT_TOL,
-) -> Tuple[PhotonDistribution, AmplitudeVector]:
-    """Photon distribution and real amplitudes of a deformed coherent state."""
-    return _with_amplitudes(build_distribution(spec, params, tol))
-
-
-def thermal_distribution(
-    spec: ThermalSpec,
-    params: DeformationParams,
-    tol: float = DEFAULT_TOL,
-) -> PhotonDistribution:
-    """Photon distribution of a deformed thermal state."""
-    return build_distribution(spec, params, tol)
-
-
-def cat_distribution(
-    spec: CatSpec,
-    params: DeformationParams,
-    tol: float = DEFAULT_TOL,
-) -> Tuple[PhotonDistribution, AmplitudeVector]:
-    """Photon distribution and amplitudes of an even deformed cat state.
-
-    Odd Fock entries vanish identically; even amplitudes are
-    2 psi_n / sqrt(W) with W the superposition normalization.  The build
-    normalizes the even weights directly; the tests check that W agrees
-    with the alternating-sum formula 2[1 + C(-x)/C(x)].
-    """
-    return _with_amplitudes(build_distribution(spec, params, tol))
-
-
 def mean_photon(dist: PhotonDistribution) -> float:
     """Mean photon number sum_n n p_n of a truncated distribution.
 
@@ -473,45 +417,19 @@ def mean_photon_expansion(
     return _probe(spec).mean_expansion(params, regime)
 
 
-def extend_truncation(dist: PhotonDistribution, new_tol: float) -> PhotonDistribution:
-    """Recompute a distribution at a tighter tail tolerance (larger n_max)."""
-    if not (0.0 < new_tol < dist.tail_bound):
-        raise DomainError(
-            f"new_tol must lie in (0, tail_bound={dist.tail_bound}), got {new_tol}"
-        )
-    return build_distribution(dist.spec, dist.params, new_tol)
-
-
-def fixed_support_log_probs(
-    spec: ProbeSpec,
-    params: DeformationParams,
-    n_support: int,
-) -> np.ndarray:
-    """ln p_n for n = 0..n_support, normalized over exactly that support.
-
-    Plumbing for likelihood evaluation and finite-difference stencils,
-    where several nearby states must share one outcome support.  The
-    caller is responsible for sizing n_support so the omitted mass is
-    negligible (e.g. from an adaptive build at the slowest-decaying
-    parameter point).
-    """
-    if n_support < 0:
-        raise DomainError("n_support must be >= 0")
-    _check_normalizable(spec, params)
-    return _fixed_support_log_prob_rows(spec, params.kind, [params.epsilon], n_support)[0]
-
-
 def _fixed_support_log_prob_rows(
     spec: ProbeSpec,
     kind: DeformationKind,
     eps: np.ndarray,
     n_support: int,
 ) -> np.ndarray:
-    """fixed_support_log_probs for each epsilon in `eps`, one row each.
+    """ln p_n for n = 0..n_support, one row per epsilon in `eps`.
 
-    Normalizability is the caller's to check.  Each row is normalized over
-    its finite entries (the even columns for cat states; thermal rows whose
-    gamma overflowed drop those levels), exactly as a single-epsilon call.
+    Plumbing for likelihood evaluation, where nearby states must share one
+    outcome support.  The caller checks normalizability and sizes n_support
+    so the omitted mass is negligible.  Each row is normalized over its
+    finite entries (the even columns for cat states; thermal rows whose
+    gamma overflowed drop those levels), exactly as a one-row call.
     """
     lnw = spec.log_weight_rows(kind, eps, n_support)
     cols = lnw[:, ::spec.step]

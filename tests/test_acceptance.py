@@ -25,8 +25,6 @@ from qdeform.estimation import (
     calibrate_intensity,
     classical_fisher,
     measurements_needed,
-    qfi_diagonal,
-    qfi_pure,
     qsnr,
 )
 from qdeform.montecarlo import crb_benchmark
@@ -39,7 +37,7 @@ from qdeform.states import (
     mean_photon_expansion,
 )
 from qdeform.algebra import log_delta_values
-from qdeform.oracles import g_product
+from qdeform.oracles import g_product, qfi_pure
 
 M, P = DeformationKind.M, DeformationKind.P
 
@@ -68,7 +66,7 @@ def _spec_for(family, intensity):
 
 def _qfi(spec, kind, eps):
     if isinstance(spec, ThermalSpec):
-        return qfi_diagonal(spec, kind, eps)
+        return classical_fisher(spec, kind, eps)
     return qfi_pure(spec, kind, eps)
 
 

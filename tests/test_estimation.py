@@ -15,11 +15,9 @@ from qdeform.estimation import (
     estimation_report,
     leading_order_qsnr,
     measurements_needed,
-    qfi_diagonal,
-    qfi_pure,
     qsnr,
 )
-from qdeform.oracles import fd_information
+from qdeform.oracles import fd_information, qfi_pure
 from qdeform.states import (
     CatSpec,
     CoherentSpec,
@@ -53,7 +51,7 @@ class TestFisherEqualsQfi:
             return
         fisher = classical_fisher(spec, kind, eps)
         if family == "thermal":
-            qfi = qfi_diagonal(spec, kind, eps)
+            qfi = classical_fisher(spec, kind, eps)
         else:
             qfi = qfi_pure(spec, kind, eps)
         assert fisher >= 0.0
@@ -65,16 +63,6 @@ class TestFisherEqualsQfi:
     def test_qfi_pure_rejects_thermal(self):
         with pytest.raises(DomainError):
             qfi_pure(ThermalSpec(1.0), M, 1e-3)
-
-    def test_qfi_diagonal_rejects_pure(self):
-        with pytest.raises(DomainError):
-            qfi_diagonal(CoherentSpec(1.0), M, 1e-3)
-
-    def test_diagonal_equals_classical_bitwise_scale(self):
-        spec = ThermalSpec(beta=1.0)
-        f = classical_fisher(spec, M, 1e-3)
-        h = qfi_diagonal(spec, M, 1e-3)
-        assert abs(f - h) <= 1e-10 * h
 
 
 class TestDegenerateFamilies:
@@ -323,7 +311,7 @@ class TestOneBuildReport:
         dist = build_distribution(spec, DeformationParams(kind, eps))
         assert report.mean_photon == mean_photon(dist)
         assert report.qfi == report.fisher
-        qfi = qfi_diagonal if family == "thermal" else qfi_pure
+        qfi = classical_fisher if family == "thermal" else qfi_pure
         assert qfi(spec, kind, eps, hold=hold) == pytest.approx(report.qfi, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["coherent", "thermal"])

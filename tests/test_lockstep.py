@@ -19,6 +19,7 @@ from qdeform.algebra import DeformationKind, DeformationParams, _log_q_rows
 from qdeform.errors import DivergenceError, OutOfSupportError
 from qdeform.estimation import classical_fisher
 from qdeform.montecarlo import CrbBenchmark, MleResult, crb_benchmark, sample_counts
+from qdeform.oracles import fixed_support_log_probs
 from qdeform.states import (
     CatSpec,
     CoherentSpec,
@@ -27,7 +28,6 @@ from qdeform.states import (
     _fixed_support_log_prob_rows,
     _logsumexp,
     build_distribution,
-    fixed_support_log_probs,
 )
 
 M, P = DeformationKind.M, DeformationKind.P

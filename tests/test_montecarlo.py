@@ -6,22 +6,22 @@ import math
 import numpy as np
 import pytest
 
+from qdeform import estimation, montecarlo, states
 from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DomainError
 from qdeform.montecarlo import (
     CountSample,
     crb_benchmark,
     log_likelihood,
-    log_likelihood_gradient,
     mle_epsilon,
     sample_counts,
 )
+from qdeform.oracles import log_likelihood_gradient
 from qdeform.states import (
     CoherentSpec,
     PhotonDistribution,
     ThermalSpec,
     build_distribution,
-    coherent_distribution,
     mean_photon,
 )
 
@@ -47,7 +47,7 @@ class TestSampling:
         assert sample.shots == 10
 
     def test_reproducibility(self):
-        dist, _ = coherent_distribution(CoherentSpec(2.0), params(M, 1e-3))
+        dist = build_distribution(CoherentSpec(2.0), params(M, 1e-3))
         s1 = sample_counts(dist, 5000, seed=42)
         s2 = sample_counts(dist, 5000, seed=42)
         assert s1 == s2
@@ -56,7 +56,7 @@ class TestSampling:
 
     def test_poisson_sample_mean(self):
         # empirical mean within 4 sigma, sigma = sqrt(var/shots) = sqrt(1/1e5)
-        dist, _ = coherent_distribution(CoherentSpec(1.0), params(M, 0.0))
+        dist = build_distribution(CoherentSpec(1.0), params(M, 0.0))
         sample = sample_counts(dist, 100_000, seed=7)
         mean = sum(n * c for n, c in sample.counts.items()) / sample.shots
         assert abs(mean - 1.0) < 4 * math.sqrt(1.0 / 100_000)
@@ -92,7 +92,7 @@ class TestLogLikelihood:
 
     def test_single_shot(self):
         sample = CountSample(counts={3: 1}, shots=1, seed=0)
-        dist, _ = coherent_distribution(CoherentSpec(2.0), params(M, 1e-3))
+        dist = build_distribution(CoherentSpec(2.0), params(M, 1e-3))
         ll = log_likelihood(sample, CoherentSpec(2.0), M, 1e-3)
         assert ll == pytest.approx(float(dist.log_probs[3]), rel=1e-9)
 
@@ -124,7 +124,7 @@ class TestMle:
 
     def test_recovers_zero_deformation(self):
         spec = CoherentSpec(5.0)
-        dist, _ = coherent_distribution(spec, params(M, 0.0))
+        dist = build_distribution(spec, params(M, 0.0))
         sample = sample_counts(dist, 50_000, seed=21)
         result = mle_epsilon(sample, spec, M, (-0.05, 0.05))
         assert result.converged
@@ -174,6 +174,23 @@ class TestCrbBenchmark:
         b1 = crb_benchmark(**kwargs)
         b2 = crb_benchmark(**kwargs)
         assert b1 == b2
+
+    def test_builds_the_true_state_once(self, monkeypatch):
+        # One build at epsilon_true serves both F and the sampling; the two
+        # bracket ends size the outcome support.
+        builds = []
+        real = states.build_distribution
+
+        def counting(*args, **kwargs):
+            builds.append(args[1].epsilon)
+            return real(*args, **kwargs)
+
+        for module in (states, estimation, montecarlo):
+            monkeypatch.setattr(module, "build_distribution", counting)
+        crb_benchmark(ThermalSpec.from_mean_photon(5.0), M, 5e-3, shots=2000,
+                      replications=50, seed=123)
+        assert len(builds) == 3
+        assert builds[0] == 5e-3
 
     def test_crb_halves_with_double_shots(self):
         spec = ThermalSpec.from_mean_photon(5.0)

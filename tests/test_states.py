@@ -10,20 +10,15 @@ import pytest
 from qdeform import states
 from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DivergenceError, DomainError
-from qdeform.oracles import cat_normalization_crosscheck
+from qdeform.oracles import cat_normalization_crosscheck, fixed_support_log_probs
 from qdeform.states import (
     CatSpec,
     CoherentSpec,
     ThermalSpec,
     _logsumexp,
     build_distribution,
-    cat_distribution,
-    coherent_distribution,
-    extend_truncation,
-    fixed_support_log_probs,
     mean_photon,
     mean_photon_expansion,
-    thermal_distribution,
 )
 
 M, P = DeformationKind.M, DeformationKind.P
@@ -35,14 +30,13 @@ def params(kind, eps):
 
 class TestUndeformedLimits:
     def test_coherent_is_poisson(self):
-        dist, amps = coherent_distribution(CoherentSpec(1.0), params(M, 0.0))
+        dist = build_distribution(CoherentSpec(1.0), params(M, 0.0))
         for n in range(dist.n_max + 1):
             expected = math.exp(-1.0) / math.factorial(n)
             assert abs(dist.probs[n] - expected) < 1e-12
-        assert np.allclose(amps.amps**2, dist.probs)
 
     def test_thermal_is_geometric(self):
-        dist = thermal_distribution(ThermalSpec(beta=math.log(2.0)), params(P, 0.0))
+        dist = build_distribution(ThermalSpec(beta=math.log(2.0)), params(P, 0.0))
         for n in range(dist.n_max + 1):
             assert abs(dist.probs[n] - 0.5 ** (n + 1)) < 1e-12
 
@@ -52,7 +46,7 @@ class TestUndeformedLimits:
         assert spec.n_mean == pytest.approx(1.0, rel=1e-14)
 
     def test_cat_is_even_poisson(self):
-        dist, _ = cat_distribution(CatSpec(1.0), params(M, 0.0))
+        dist = build_distribution(CatSpec(1.0), params(M, 0.0))
         norm = math.cosh(1.0)  # sum over even n of 1/n!
         for n in range(dist.n_max + 1):
             expected = (1.0 / math.factorial(n)) / norm if n % 2 == 0 else 0.0
@@ -105,38 +99,38 @@ class TestNormalization:
 class TestDivergenceGuards:
     def test_thermal_m_negative_eps(self):
         with pytest.raises(DivergenceError):
-            thermal_distribution(ThermalSpec.from_mean_photon(5.0), params(M, -1e-3))
+            build_distribution(ThermalSpec.from_mean_photon(5.0), params(M, -1e-3))
 
     def test_coherent_m_negative_eps_large_intensity(self):
         # |alpha|^2 |eps| >= 1: geometric weight ratio does not fall below 1.
         with pytest.raises(DivergenceError):
-            coherent_distribution(CoherentSpec(100.0), params(M, -0.05))
+            build_distribution(CoherentSpec(100.0), params(M, -0.05))
 
     def test_coherent_m_negative_eps_small_intensity_ok(self):
-        dist, _ = coherent_distribution(CoherentSpec(10.0), params(M, -0.01))
+        dist = build_distribution(CoherentSpec(10.0), params(M, -0.01))
         assert dist.tail_bound <= 1e-12
         # mean grows relative to the undeformed value for eps < 0
         assert mean_photon(dist) > 10.0
 
     def test_cat_m_negative_eps_large_intensity(self):
         with pytest.raises(DivergenceError):
-            cat_distribution(CatSpec(40.0), params(M, -0.05))
+            build_distribution(CatSpec(40.0), params(M, -0.05))
 
     @pytest.mark.parametrize("kind, eps", [(M, 0.0), (P, 0.3)])
     def test_thermal_beta_near_float_min(self, kind, eps):
         # n_mean = 1/beta is near the float maximum; the support search must
         # still end at the hard cap instead of overflowing its start size.
         with pytest.raises(DivergenceError):
-            thermal_distribution(ThermalSpec(beta=1e-308), params(kind, eps))
+            build_distribution(ThermalSpec(beta=1e-308), params(kind, eps))
 
 
 class TestCat:
     @pytest.mark.parametrize("kind", [M, P])
     @pytest.mark.parametrize("eps", [0.0, 1e-3, -1e-3, 1e-2])
     def test_parity(self, kind, eps):
-        dist, amps = cat_distribution(CatSpec(4.0), params(kind, eps))
+        dist = build_distribution(CatSpec(4.0), params(kind, eps))
         assert np.all(dist.probs[1::2] == 0.0)
-        assert np.all(amps.amps[1::2] == 0.0)
+        assert np.all(dist.log_probs[1::2] == -np.inf)
 
     @pytest.mark.parametrize("alpha_sq", [0.5, 2.0, 10.0, 50.0, 300.0])
     def test_normalization_crosscheck(self, alpha_sq):
@@ -149,42 +143,43 @@ class TestCat:
                 assert wf == pytest.approx(wd, rel=1e-10), (kind, eps)
 
     def test_build_runs_no_crosscheck(self, monkeypatch):
+        # A cat build must not build a coherent state along the way.
         calls = []
-        real = states.coherent_distribution
+        real = states.build_distribution
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append(type(args[0]))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(states, "coherent_distribution", counting)
-        cat_distribution(CatSpec(10.0), params(M, 1e-3))
-        build_distribution(CatSpec(2.0), params(P, 1e-2))
-        assert calls == []
+        monkeypatch.setattr(states, "build_distribution", counting)
+        states.build_distribution(CatSpec(10.0), params(M, 1e-3))
+        states.build_distribution(CatSpec(2.0), params(P, 1e-2))
+        assert calls == [CatSpec, CatSpec]
 
     def test_mean_photon_limits(self):
         # large |alpha|: mean -> |alpha|^2; small |alpha|: mean -> |alpha|^4
-        big, _ = cat_distribution(CatSpec(25.0), params(M, 0.0))
+        big = build_distribution(CatSpec(25.0), params(M, 0.0))
         assert mean_photon(big) == pytest.approx(25.0, rel=1e-9)
-        small, _ = cat_distribution(CatSpec(0.1), params(M, 0.0))
+        small = build_distribution(CatSpec(0.1), params(M, 0.0))
         assert mean_photon(small) == pytest.approx(0.1 * math.tanh(0.1), rel=1e-7)
         assert mean_photon(small) == pytest.approx(0.01, rel=0.01)
 
 
 class TestMeanPhoton:
     def test_poisson(self):
-        dist, _ = coherent_distribution(CoherentSpec(3.0), params(M, 0.0))
+        dist = build_distribution(CoherentSpec(3.0), params(M, 0.0))
         assert mean_photon(dist) == pytest.approx(3.0, rel=1e-11)
 
     def test_geometric(self):
         # truncation shifts the mean by O(n_max * tail_bound)
-        dist = thermal_distribution(ThermalSpec.from_mean_photon(1.0), params(M, 0.0))
+        dist = build_distribution(ThermalSpec.from_mean_photon(1.0), params(M, 0.0))
         assert mean_photon(dist) == pytest.approx(
             1.0, abs=2 * (dist.n_max + 2) * dist.tail_bound
         )
 
     def test_coherent_m_first_order(self):
         # N = x - eps x^2 / 2 + O(eps^2) at x = 4, eps = 1e-3
-        dist, _ = coherent_distribution(CoherentSpec(4.0), params(M, 1e-3))
+        dist = build_distribution(CoherentSpec(4.0), params(M, 1e-3))
         assert mean_photon(dist) == pytest.approx(4.0 - 0.5e-3 * 16.0, abs=2e-4)
 
     def test_expansion_coherent(self):
@@ -209,7 +204,7 @@ class TestMeanPhoton:
         for kind, power in [(M, 1), (P, 2)]:
             spec = ThermalSpec.from_mean_photon(0.05)
             eps = 1e-3
-            exact = mean_photon(thermal_distribution(spec, params(kind, eps)))
+            exact = mean_photon(build_distribution(spec, params(kind, eps)))
             approx = mean_photon_expansion(spec, params(kind, eps), regime="small")
             corr_exact = exact - spec.n_mean
             corr_approx = approx - spec.n_mean
@@ -220,7 +215,7 @@ class TestMeanPhoton:
         for kind, rel in [(M, 0.25), (P, 0.25)]:
             spec = CatSpec(0.3)
             eps = 1e-2
-            dist, _ = cat_distribution(spec, params(kind, eps))
+            dist = build_distribution(spec, params(kind, eps))
             exact_corr = mean_photon(dist) - 0.3 * math.tanh(0.3)
             approx_corr = mean_photon_expansion(spec, params(kind, eps),
                                                 regime="small") - 0.3 * math.tanh(0.3)
@@ -237,7 +232,7 @@ class TestThermalWeightExpansion:
         # term itself (next order is relatively O(eps n^2)).
         beta, eps = 0.7, 1e-4
         spec = ThermalSpec(beta=beta)
-        dist = thermal_distribution(spec, params(M, eps))
+        dist = build_distribution(spec, params(M, eps))
         for n in range(1, 12):
             corr = dist.probs[n] / dist.probs[0] / math.exp(-beta * n) - 1.0
             assert corr == pytest.approx(-0.5 * eps * beta * n * n, rel=2e-2)
@@ -250,7 +245,7 @@ class TestThermalWeightExpansion:
         spec = ThermalSpec(beta=beta)
         n = 6
         def correction(eps):
-            dist = thermal_distribution(spec, params(P, eps))
+            dist = build_distribution(spec, params(P, eps))
             nu = dist.probs[n] / dist.probs[0]
             return nu / math.exp(-beta * n) - 1.0
         c1, c2 = correction(1e-3), correction(5e-4)
@@ -261,8 +256,8 @@ class TestThermalWeightExpansion:
 
 class TestTruncationControls:
     def test_extend_truncation_grows(self):
-        dist, _ = coherent_distribution(CoherentSpec(1.0), params(M, 0.0), tol=1e-8)
-        finer = extend_truncation(dist, dist.tail_bound / 100.0)
+        dist = build_distribution(CoherentSpec(1.0), params(M, 0.0), tol=1e-8)
+        finer = build_distribution(dist.spec, dist.params, dist.tail_bound / 100.0)
         assert finer.n_max > dist.n_max
         assert finer.tail_bound < dist.tail_bound
         # a few units for a Poisson tail
@@ -272,22 +267,17 @@ class TestTruncationControls:
         assert np.allclose(finer.probs[: dist.n_max + 1], shared, rtol=1e-7, atol=0)
 
     def test_extend_truncation_geometric(self):
-        dist = thermal_distribution(ThermalSpec.from_mean_photon(50.0),
-                                    params(M, 0.0), tol=1e-6)
-        finer = extend_truncation(dist, 1e-12)
+        dist = build_distribution(ThermalSpec.from_mean_photon(50.0),
+                                  params(M, 0.0), tol=1e-6)
+        finer = build_distribution(dist.spec, dist.params, 1e-12)
         assert finer.n_max > dist.n_max
         assert finer.n_max >= 100
         assert float(finer.probs.sum()) >= 1.0 - 1e-12 - 1e-15
 
-    def test_extend_truncation_requires_tighter_tol(self):
-        dist, _ = coherent_distribution(CoherentSpec(1.0), params(M, 0.0), tol=1e-8)
-        with pytest.raises(DomainError):
-            extend_truncation(dist, dist.tail_bound * 2)
-
     def test_fixed_support_matches_adaptive(self):
         spec = ThermalSpec.from_mean_photon(3.0)
         pr = params(P, 1e-3)
-        dist = thermal_distribution(spec, pr)
+        dist = build_distribution(spec, pr)
         lp = fixed_support_log_probs(spec, pr, dist.n_max)
         assert np.allclose(lp, dist.log_probs, rtol=0, atol=1e-11)
 
@@ -319,7 +309,7 @@ class TestHighPrecisionOracle:
         # purpose: the oracle uses the same binary epsilon).
         getcontext().prec = 60
         eps_f = 0.01
-        dist, _ = coherent_distribution(CoherentSpec(2.0), params(P, eps_f))
+        dist = build_distribution(CoherentSpec(2.0), params(P, eps_f))
         eps = Decimal(eps_f)
         q = 1 + eps
         x = Decimal(2)
