@@ -74,10 +74,12 @@ class DeformationParams:
 def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
     """ln|e^x - 1|, stable for both tiny and huge arguments."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     big = x > 33.0
-    out[big] = x[big] + np.log1p(-np.exp(-x[big]))
     with np.errstate(divide="ignore"):
+        if not big.any():  # same ufuncs as the masked path, without the copies
+            return np.log(np.abs(np.expm1(x)))
+        out = np.empty_like(x)
+        out[big] = x[big] + np.log1p(-np.exp(-x[big]))
         out[~big] = np.log(np.abs(np.expm1(x[~big])))
     return out
 

@@ -29,6 +29,7 @@ by the tests against independent evaluations (an alternating sum, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Tuple, Type, Union
@@ -239,7 +240,9 @@ class PhotonDistribution:
     """Truncated Fock-basis probability vector with a certified tail bound.
 
     probs[n] for n = 0..n_max sums to 1 - tail_bound; log_probs carries the
-    same information without underflow in the far tail.
+    same information without underflow in the far tail.  Both arrays are
+    read-only, since build_distribution hands the same object to every
+    caller that repeats its last build.
     """
 
     probs: np.ndarray
@@ -299,10 +302,25 @@ def build_distribution(
     params: DeformationParams,
     tol: float = DEFAULT_TOL,
 ) -> PhotonDistribution:
-    """Certified photon distribution of any probe family."""
+    """Certified photon distribution of any probe family.
+
+    The last build is kept: a call that repeats it, such as the report on a
+    spec that calibrate_intensity has just solved, gets the same read-only
+    distribution back without rebuilding.  Errors are not kept, and
+    build_distribution.cache_clear() drops the kept build.
+    """
     _check_normalizable(spec, params)
     if not (0.0 < tol <= 1e-6):
         raise DomainError(f"tol must lie in (0, 1e-6], got {tol}")
+    # -0.0 == 0.0 and both hash alike, so the sign of epsilon joins the key:
+    # a hit never hands back the other zero in dist.params.
+    return _build_last(spec, params, tol, math.copysign(1.0, params.epsilon))
+
+
+@functools.lru_cache(maxsize=1)
+def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
+                eps_sign: float) -> PhotonDistribution:
+    """Support search of build_distribution, on checked arguments."""
     step = spec.step
     n_max = _initial_n_max(spec.n0)
     while True:
@@ -339,6 +357,9 @@ def build_distribution(
         n_max = min(2 * n_max, HARD_CAP)
 
 
+build_distribution.cache_clear = _build_last.cache_clear
+
+
 def _finalize(
     lnw: np.ndarray,
     support: np.ndarray,
@@ -350,20 +371,23 @@ def _finalize(
     spec: ProbeSpec,
 ) -> PhotonDistribution:
     """Trim the certified support down to the smallest n_max meeting tol."""
-    # suffix[i] = log sum of support weights strictly after position i, plus
-    # the certified beyond-support tail.
-    rev_acc = np.logaddexp.accumulate(np.append(ln_tail, lnw_sup[::-1]))[::-1]
-    suffix = rev_acc[1:]  # position i -> mass after i (including ln_tail)
-    ok = np.nonzero(np.exp(suffix - ln_total) <= tol)[0]
+    # suffix[i] = normalized mass of the support weights strictly after
+    # position i, plus the certified beyond-support tail.  The trimmed
+    # support lies within _UNDERFLOW_LOG of the peak, so the sum can run in
+    # the linear domain.
+    with np.errstate(under="ignore"):
+        w = np.exp(lnw_sup[::-1] - ln_total)
+    suffix = np.cumsum(np.append(math.exp(ln_tail - ln_total), w))[::-1][1:]
+    ok = np.nonzero(suffix <= tol)[0]
     cut = int(ok[0]) if ok.size else len(lnw_sup) - 1
     n_max = int(support[cut])
-    ln_tail_cut = float(suffix[cut])
-    tail_bound = float(math.exp(ln_tail_cut - ln_total))
+    tail_bound = float(suffix[cut])
 
     log_probs = lnw[: n_max + 1] - ln_total
     with np.errstate(under="ignore"):
         probs = np.exp(log_probs)
     probs[~np.isfinite(log_probs)] = 0.0
+    probs.flags.writeable = log_probs.flags.writeable = False
     return PhotonDistribution(
         probs=probs,
         log_probs=log_probs,

@@ -18,6 +18,7 @@ import pytest
 from qdeform.algebra import (
     DeformationKind,
     DeformationParams,
+    _log_abs_expm1,
     dlog_delta_values,
     dlog_q_number_values,
     gamma_values,
@@ -254,6 +255,37 @@ class TestDerivativeArrays:
         g = gamma_values(params(M, 0.5), 3000)
         assert g[0] == 0.0
         assert np.isinf(g[-1])
+
+
+def masked_log_abs_expm1(x):
+    """ln|e^x - 1| with every entry routed through its own branch."""
+    out = np.empty_like(x)
+    big = x > 33.0
+    out[big] = x[big] + np.log1p(-np.exp(-x[big]))
+    with np.errstate(divide="ignore"):
+        out[~big] = np.log(np.abs(np.expm1(x[~big])))
+    return out
+
+
+class TestLogAbsExpm1:
+    # Arguments as _log_q_rows makes them (j L and 2 j L, either sign), over
+    # lengths that end both on and off a SIMD block.
+    @pytest.mark.parametrize("size", [1, 3, 8, 17, 64, 1001, 40_000])
+    @pytest.mark.parametrize("case", ["below", "above", "straddling", "zero"])
+    def test_fast_path_is_bit_identical(self, size, case):
+        rng = np.random.default_rng(size)
+        lo, hi = {"below": (-40.0, 33.0), "above": (33.0, 1500.0),
+                  "straddling": (-5.0, 80.0), "zero": (-1e-3, 1e-3)}[case]
+        x = rng.uniform(lo, hi, size=(2, size))
+        if case == "zero":
+            x[:, ::3] = 0.0
+        elif case != "above":
+            x[1, 0] = 33.0  # the threshold itself stays on the expm1 branch
+        got, want = _log_abs_expm1(x), masked_log_abs_expm1(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+        if case == "zero":
+            assert np.all(got[:, ::3] == -np.inf)
 
 
 # --------------------------------------------------------------------------

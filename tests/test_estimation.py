@@ -188,6 +188,63 @@ class TestCalibration:
             calibrate_intensity(ThermalSpec(beta=700.0), DeformationParams(M, 1e-3), 1.0)
 
 
+class TestCalibratedReport:
+    @pytest.mark.parametrize("family", ["coherent", "cat", "thermal"])
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_report_reuses_the_last_iterate(self, monkeypatch, family, kind):
+        # Every calibration iterate is one build; the report on the solved
+        # spec repeats the last one and gets it back without rebuilding.
+        builds, calls = [], []
+        real_finalize, real_build = states._finalize, estimation.build_distribution
+
+        def finalize(*args):
+            builds.append(args)
+            return real_finalize(*args)
+
+        def build(*args):
+            calls.append(args)
+            return real_build(*args)
+
+        monkeypatch.setattr(states, "_finalize", finalize)
+        monkeypatch.setattr(estimation, "build_distribution", build)
+        eps, target = 1e-3, 300.0
+        spec = calibrate_intensity(spec_for(family, target), DeformationParams(kind, eps),
+                                   target)
+        assert len(builds) == len(calls) >= 2  # one call per iterate
+        report = estimation_report(spec, kind, eps)
+        assert len(calls) == len(builds) + 1
+        build_distribution.cache_clear()
+        assert estimation_report(spec, kind, eps) == report
+        assert len(builds) == len(calls) - 1
+
+
+# float.hex of (fisher, qsnr, mean_photon) at calibrated points, each family
+# at one low and one high mean photon number.  A change that moves one bit
+# fails here first: the Monte Carlo CRB ratios move with the last bit of F.
+PINNED_POINTS = [
+    ("coherent", M, 10.0, 3e-3,
+     "0x1.8a392246b8172p+3", "0x1.d10b69ebb6828p-14", "0x1.3ffffffffff97p+3"),
+    ("coherent", P, 1000.0, 4e-4,
+     "0x1.e138c381e89b3p+14", "0x1.42f143a5e2648p-8", "0x1.f3fffffffffc6p+9"),
+    ("thermal", M, 2000.0, 2e-4,
+     "0x1.0bfb4d6e7e6c0p+20", "0x1.67adcb3d5382bp-5", "0x1.f400000000001p+10"),
+    ("thermal", P, 5.0, 0.05,
+     "0x1.7679579cb0b3dp+3", "0x1.df53a357ec6b6p-6", "0x1.3fffffffff00dp+2"),
+    ("cat", M, 20.0, -2e-3,
+     "0x1.968f37f4624e9p+5", "0x1.aa4ef87f6953ap-13", "0x1.40000000003fap+4"),
+    ("cat", P, 500.0, 1e-3,
+     "0x1.5bca8609763bcp+13", "0x1.6caf76effc500p-7", "0x1.f3ffffffffe4bp+8"),
+]
+
+
+@pytest.mark.parametrize("family, kind, target, eps, fisher, q, mean", PINNED_POINTS)
+def test_calibrated_point_bits(family, kind, target, eps, fisher, q, mean):
+    spec = calibrate_intensity(spec_for(family, target), DeformationParams(kind, eps), target)
+    report = estimation_report(spec, kind, eps)
+    assert (report.fisher.hex(), report.qsnr.hex(), report.mean_photon.hex()) == (
+        fisher, q, mean)
+
+
 class TestLeadingOrderTable:
     def test_pinned_constants(self):
         eps, n = 1e-3, 10.0

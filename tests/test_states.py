@@ -1,6 +1,7 @@
 """State-construction tests: undeformed limits, normalization certificates,
 parity, expansions, and the divergence guards."""
 
+import dataclasses
 import math
 from decimal import Decimal, getcontext
 
@@ -14,6 +15,7 @@ from qdeform.oracles import cat_normalization_crosscheck, fixed_support_log_prob
 from qdeform.states import (
     CatSpec,
     CoherentSpec,
+    PhotonDistribution,
     ThermalSpec,
     _logsumexp,
     build_distribution,
@@ -280,6 +282,95 @@ class TestTruncationControls:
         dist = build_distribution(spec, pr)
         lp = fixed_support_log_probs(spec, pr, dist.n_max)
         assert np.allclose(lp, dist.log_probs, rtol=0, atol=1e-11)
+
+
+class TestTruncationCut:
+    # The cut is checked against a 50-digit sum of the certified terms that
+    # _finalize receives: the support weights dropped beyond n_max plus the
+    # geometric majorant past the certified support, over the normalizer.
+    @pytest.mark.parametrize("spec, kind, eps", [
+        (CoherentSpec(30.0), M, 1e-3),
+        (CoherentSpec(30.0), P, -1e-2),
+        (ThermalSpec.from_mean_photon(50.0), M, 2e-3),
+        (ThermalSpec.from_mean_photon(50.0), P, 1e-2),
+        (CatSpec(40.0), M, -1e-3),
+        (CatSpec(40.0), P, 1e-3),
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+    def test_tail_bound_and_minimal_n_max(self, monkeypatch, spec, kind, eps, tol):
+        mp = pytest.importorskip("mpmath")
+        seen = []
+        real = states._finalize
+
+        def spy(lnw, support, lnw_sup, ln_tail, ln_total, *rest):
+            seen.append((support, lnw_sup, ln_tail, ln_total))
+            return real(lnw, support, lnw_sup, ln_tail, ln_total, *rest)
+
+        monkeypatch.setattr(states, "_finalize", spy)
+        dist = build_distribution(spec, params(kind, eps), tol)
+        (support, lnw_sup, ln_tail, ln_total), = seen
+        cut = int(np.searchsorted(support, dist.n_max))
+        assert support[cut] == dist.n_max
+        with mp.workdps(50):
+            def mass_after(i):
+                dropped = mp.fsum(mp.exp(mp.mpf(float(v))) for v in lnw_sup[i + 1:])
+                return (dropped + mp.exp(mp.mpf(ln_tail))) / mp.exp(mp.mpf(ln_total))
+
+            tail = mass_after(cut)
+            assert abs(dist.tail_bound - tail) <= 1e-12 * tail
+            assert tail <= tol
+            assert cut > 0 and mass_after(cut - 1) > tol  # one step earlier breaks tol
+
+
+class TestLastBuildMemo:
+    def test_repeat_returns_the_kept_build(self):
+        dist = build_distribution(CoherentSpec(10.0), params(M, 1e-3))
+        assert build_distribution(CoherentSpec(10.0), params(M, 1e-3)) is dist
+        assert build_distribution(CoherentSpec(10.0), params(M, 1e-3), 1e-12) is dist
+
+    def test_arrays_are_read_only(self):
+        dist = build_distribution(ThermalSpec.from_mean_photon(5.0), params(P, 1e-2))
+        for values in (dist.probs, dist.log_probs):
+            with pytest.raises(ValueError):
+                values[0] = 0.5
+
+    def test_other_tol_misses(self):
+        spec, pr = CatSpec(6.0), params(P, 1e-3)
+        coarse = build_distribution(spec, pr, 1e-8)
+        fine = build_distribution(spec, pr, 1e-14)
+        assert fine is not coarse
+        assert fine.n_max > coarse.n_max and fine.tail_bound < coarse.tail_bound
+        assert build_distribution(spec, pr, 1e-8) is not coarse  # only the last is kept
+
+    def test_errors_are_not_kept(self, monkeypatch):
+        # |alpha|^2 |eps| just below 1: normalizable, but not certifiable
+        # below the hard cap, so the search itself raises.
+        calls = []
+        real = states._certify
+        monkeypatch.setattr(states, "_certify", lambda lnw: calls.append(1) or real(lnw))
+        per_call = []
+        for _ in range(2):
+            with pytest.raises(DivergenceError, match="hard cap"):
+                build_distribution(CoherentSpec(100.0), params(M, -0.0099999))
+            per_call.append(len(calls) - sum(per_call))
+        assert per_call[0] > 0 and per_call[1] == per_call[0]
+
+    def test_hit_equals_a_fresh_build_with_the_sign_of_zero(self):
+        spec = CoherentSpec(3.0)
+        plus = build_distribution(spec, params(P, 0.0))
+        minus = build_distribution(spec, params(P, -0.0))
+        assert minus is not plus
+        assert build_distribution(spec, params(P, -0.0)) is minus
+        build_distribution.cache_clear()
+        fresh = build_distribution(spec, params(P, -0.0))
+        assert fresh is not minus
+        for field in dataclasses.fields(PhotonDistribution):
+            hit, new = getattr(minus, field.name), getattr(fresh, field.name)
+            if isinstance(new, np.ndarray):
+                assert hit.tobytes() == new.tobytes()
+            else:
+                assert repr(hit) == repr(new)
+        assert math.copysign(1.0, minus.params.epsilon) == -1.0
 
 
 class TestLogSumExp:
