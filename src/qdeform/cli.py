@@ -1,20 +1,23 @@
 """Command-line surface: state construction, Fisher reports, QSNR sweeps,
 and Cramer-Rao benchmarks, emitting JSON or CSV.
 
-Exit codes: 0 success, 1 usage error or a closed output pipe, 2 domain
-error, 3 numerical divergence.  Output files are written atomically (temp
-file + rename); stdout is used when --out is omitted.
+Each subcommand returns its document with the CSV columns and rows read
+from it; main encodes the result through serialize and writes it once.
+
+Exit codes: 0 success, 1 usage error, a closed output pipe or an
+unwritable --out, 2 domain error, 3 numerical divergence.  Output files
+are written atomically (temp file + rename); stdout is used when --out is
+omitted.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import serialize
 from .algebra import DeformationKind, DeformationParams
@@ -66,18 +69,6 @@ def _write_output(text: str, out: Optional[str]) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-def _json_text(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False)
-
-
-def _csv_text(write_fn, *args) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_fn(*args, buf)
-    return buf.getvalue()
 
 
 def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
@@ -142,6 +133,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_state = sub.add_parser("state", help="emit a photon-number distribution")
+    p_state.set_defaults(run=_cmd_state)
     state_sub = p_state.add_subparsers(dest="family", required=True)
     for family, cls in FAMILIES.items():
         sp = state_sub.add_parser(family)
@@ -151,6 +143,7 @@ def build_parser() -> _Parser:
         _add_common(sp)
 
     p_fisher = sub.add_parser("fisher", help="Fisher/QFI/QSNR report at one point")
+    p_fisher.set_defaults(run=_cmd_fisher)
     _add_family_flags(p_fisher)
     _add_common(p_fisher)
     p_fisher.add_argument("--hold", choices=["mean-photon", "intensity"],
@@ -158,6 +151,7 @@ def build_parser() -> _Parser:
                           help="family parametrization for the derivative")
 
     p_qsnr = sub.add_parser("qsnr", help="QSNR sweep against the leading-order table")
+    p_qsnr.set_defaults(run=_cmd_qsnr)
     p_qsnr.add_argument("--family", required=True, choices=list(FAMILIES))
     p_qsnr.add_argument("--epsilons", default=None,
                         help="comma-separated epsilon values")
@@ -171,6 +165,7 @@ def build_parser() -> _Parser:
     _add_common(p_qsnr, epsilon=False)
 
     p_bench = sub.add_parser("benchmark", help="Monte Carlo Cramer-Rao benchmark")
+    p_bench.set_defaults(run=_cmd_benchmark)
     _add_family_flags(p_bench)
     _add_common(p_bench)
     p_bench.add_argument("--shots", required=True, type=int)
@@ -179,29 +174,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_state(parser: _Parser, args: argparse.Namespace) -> int:
+# What a subcommand returns: its document, and the CSV columns and rows
+# read from that document.
+_Result = Tuple[Dict[str, Any], List[str], Iterable[Mapping[str, Any]]]
+
+
+def _cmd_state(parser: _Parser, args: argparse.Namespace) -> _Result:
     spec = _spec_from_args(parser, args)
     params = DeformationParams(DeformationKind(args.kind), args.epsilon)
-    dist = build_distribution(spec, params, args.tol)
-    if args.format == "json":
-        text = _json_text(serialize.distribution_to_dict(dist))
-    else:
-        text = _csv_text(serialize.write_distribution_csv, dist)
-    _write_output(text, args.out)
-    return EXIT_OK
+    doc = serialize.distribution_to_dict(build_distribution(spec, params, args.tol))
+    return doc, serialize.DISTRIBUTION_COLUMNS, serialize.distribution_rows(doc)
 
 
-def _cmd_fisher(parser: _Parser, args: argparse.Namespace) -> int:
+def _cmd_fisher(parser: _Parser, args: argparse.Namespace) -> _Result:
     spec = _spec_from_args(parser, args)
     kind = DeformationKind(args.kind)
     hold = args.hold.replace("-", "_")
     report = estimation_report(spec, kind, args.epsilon, args.tol, hold)
-    if args.format == "json":
-        text = _json_text(serialize.report_to_dict(report))
-    else:
-        text = _csv_text(serialize.write_report_csv, report)
-    _write_output(text, args.out)
-    return EXIT_OK
+    doc = serialize.report_to_dict(report)
+    return doc, serialize.REPORT_COLUMNS, [doc]
 
 
 def _parse_eps_grid(parser: _Parser, args: argparse.Namespace) -> List[float]:
@@ -225,11 +216,11 @@ def _parse_eps_grid(parser: _Parser, args: argparse.Namespace) -> List[float]:
     return [math.exp(math.log(lo) + k * step) for k in range(count)]
 
 
-def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> int:
+def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> _Result:
     epsilons = _parse_eps_grid(parser, args)
     n_values = _parse_floats(parser, args.n_values, "--n-values")
     kind = DeformationKind(args.kind)
-    rows: List[Dict[str, Any]] = []
+    points = []
     for eps in epsilons:
         params = DeformationParams(kind, eps)
         for n_value in n_values:
@@ -238,32 +229,12 @@ def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> int:
                 spec = calibrate_intensity(spec, params, n_value, args.tol)
             report = estimation_report(spec, kind, eps, args.tol, hold="mean_photon")
             leading = leading_order_qsnr(family_class_of(spec), kind, eps, n_value)
-            rows.append({
-                "epsilon": eps,
-                "n_target": n_value,
-                "mean_photon": report.mean_photon,
-                "fisher": report.fisher,
-                "qfi": report.qfi,
-                "qsnr": report.qsnr,
-                "qsnr_leading": leading,
-                "ratio": report.qsnr / leading if leading > 0 else math.nan,
-                "valid_regime": abs(eps) * n_value <= 1.0,
-            })
-    if args.format == "json":
-        text = _json_text({
-            "type": "qsnr_sweep",
-            "family": args.family,
-            "kind": kind.value,
-            "calibrated": not args.raw_intensity,
-            "rows": rows,
-        })
-    else:
-        text = _csv_text(serialize.write_sweep_csv, rows)
-    _write_output(text, args.out)
-    return EXIT_OK
+            points.append((eps, n_value, report, leading))
+    doc = serialize.sweep_to_dict(args.family, kind, not args.raw_intensity, points)
+    return doc, serialize.SWEEP_COLUMNS, doc["rows"]
 
 
-def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> int:
+def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> _Result:
     if args.shots <= 0:
         parser.error("--shots must be a positive integer")
     if args.reps <= 0:
@@ -272,28 +243,19 @@ def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> int:
     kind = DeformationKind(args.kind)
     bench = crb_benchmark(spec, kind, args.epsilon, args.shots, args.reps,
                           args.seed, args.tol)
-    if args.format == "json":
-        text = _json_text(serialize.benchmark_to_dict(bench, spec, kind))
-    else:
-        text = _csv_text(serialize.write_benchmark_csv, bench)
-    _write_output(text, args.out)
-    return EXIT_OK
+    doc = serialize.benchmark_to_dict(bench, spec, kind)
+    return doc, serialize.BENCHMARK_COLUMNS, [doc]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "state":
-            return _cmd_state(parser, args)
-        if args.command == "fisher":
-            return _cmd_fisher(parser, args)
-        if args.command == "qsnr":
-            return _cmd_qsnr(parser, args)
-        if args.command == "benchmark":
-            return _cmd_benchmark(parser, args)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
+        doc, columns, rows = args.run(parser, args)
+        text = (serialize.to_json(doc) if args.format == "json"
+                else serialize.to_csv(columns, rows))
+        _write_output(text, args.out)
+        return EXIT_OK
     except SystemExit as exc:
         return int(exc.code or 0)
     except DomainError as exc:
@@ -306,6 +268,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The reader closed stdout early (`| head -1`).  Point stdout at
         # devnull so the interpreter's final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:
+        # Past parsing only the write does I/O: a missing directory, or a
+        # directory given as --out.  _write_output has removed its temp file.
+        sys.stderr.write(f"qdeform: cannot write {args.out or '-'}: "
+                         f"{exc.strerror or exc}\n")
         return EXIT_USAGE
 
 

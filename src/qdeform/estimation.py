@@ -66,6 +66,10 @@ PROB_FLOOR = 1e-30
 # range, and a beta large enough that thermal weights underflow before the
 # level coefficients gamma_n overflow (beta * gamma_n reaches about e^9.8).
 _LN_INTENSITY_BOUND = 700.0
+# Calibration stops once the mean is within this relative tolerance of the
+# target, and gives up after this many Newton or bisection steps.
+_CALIBRATION_RTOL = 1e-12
+_CALIBRATION_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,6 @@ def calibrate_intensity(
     params: DeformationParams,
     mean_target: float,
     tol: float = 1e-12,
-    rtol: float = 1e-12,
-    max_iter: int = 60,
 ) -> ProbeSpec:
     """Re-solve the intensity parameter theta (|alpha|^2 or beta) so the
     deformed mean photon number equals mean_target.
@@ -162,10 +164,10 @@ def calibrate_intensity(
         hi = x - math.log(rate * -eps)
         if x >= hi:
             current = replace(spec, **{field: math.exp(hi - math.log(2.0))})
-    for _ in range(max_iter):
+    for _ in range(_CALIBRATION_MAX_ITER):
         dist = build_distribution(current, params, tol)
         mean = mean_photon(dist)
-        if abs(mean - mean_target) <= rtol * max(1.0, mean_target):
+        if abs(mean - mean_target) <= _CALIBRATION_RTOL * max(1.0, mean_target):
             return current
         mask, pm, n = _masked(dist)
         theta = getattr(current, field)

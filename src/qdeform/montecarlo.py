@@ -56,6 +56,8 @@ __all__ = [
 _LOG_SUPPORT_FLOOR = math.log(1e-300)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ROW_BUDGET = 1 << 18  # array elements per kernel call
+_XTOL = 1e-10  # golden-section stop: final bracket width in epsilon
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ class _Likelihoods:
 
 
 def _golden_section(
-    loglik: _Likelihoods, a: float, b: float, xtol: float, max_iter: int
+    loglik: _Likelihoods, a: float, b: float
 ) -> List[Optional[MleResult]]:
     """Golden-section maximization of every sample's likelihood on [a, b], in lockstep.
 
@@ -218,7 +220,7 @@ def _golden_section(
     fc, fd = values[:, 9].copy(), values[:, 10].copy()
     iterations = np.zeros(count, dtype=int)
     while True:
-        active = np.flatnonzero(alive & ((hi - lo) > xtol) & (iterations < max_iter))
+        active = np.flatnonzero(alive & ((hi - lo) > _XTOL) & (iterations < _MAX_ITER))
         if not active.size:
             break
         left = fc[active] >= fd[active]
@@ -232,7 +234,7 @@ def _golden_section(
         fc[i], fd[j] = new[left], new[~left]
         iterations[active] += 1
 
-    converged = (hi - lo) <= xtol
+    converged = (hi - lo) <= _XTOL
     eps_hat = 0.5 * (lo + hi)
     ids = np.flatnonzero(alive)
     ll_hat = np.full(count, np.nan)
@@ -285,8 +287,6 @@ def mle_epsilon(
     spec: ProbeSpec,
     kind: DeformationKind,
     bracket: Tuple[float, float],
-    xtol: float = 1e-10,
-    max_iter: int = 200,
     tol: float = 1e-12,
     n_support: Optional[int] = None,
 ) -> MleResult:
@@ -301,7 +301,7 @@ def mle_epsilon(
     if n_support is None:
         n_support = _bracket_support(spec, kind, a, b, tol)
     loglik = _Likelihoods(spec, kind, [_counts_arrays(sample)], n_support)
-    (result,) = _golden_section(loglik, a, b, xtol, max_iter)
+    (result,) = _golden_section(loglik, a, b)
     if result is None:
         raise loglik.failures[0]
     return result
@@ -322,7 +322,6 @@ def crb_benchmark(
     replications: int,
     seed: int,
     tol: float = 1e-12,
-    bracket: Optional[Tuple[float, float]] = None,
 ) -> CrbBenchmark:
     """Empirical MLE variance over replications versus 1/(shots * F).
 
@@ -354,18 +353,14 @@ def crb_benchmark(
             failed=0,
         )
     crb = 1.0 / (shots * fisher)
-    if bracket is None:
-        half = max(0.02, 20.0 / math.sqrt(shots * fisher))
-        lo = max(epsilon_true - half, -0.5, _min_admissible_epsilon(spec, kind))
-        hi = min(epsilon_true + half, 0.5)
-        bracket = (lo, hi)
-
-    a, b = _ordered_bracket(bracket)
+    half = max(0.02, 20.0 / math.sqrt(shots * fisher))
+    lo = max(epsilon_true - half, -0.5, _min_admissible_epsilon(spec, kind))
+    hi = min(epsilon_true + half, 0.5)
+    a, b = _ordered_bracket((lo, hi))
     n_support = _bracket_support(spec, kind, a, b, tol)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, np.uint64)
     samples = [_counts_arrays(sample_counts(dist, shots, int(s))) for s in rep_seeds]
-    results = _golden_section(_Likelihoods(spec, kind, samples, n_support), a, b,
-                              xtol=1e-10, max_iter=200)
+    results = _golden_section(_Likelihoods(spec, kind, samples, n_support), a, b)
     estimates = [r.epsilon_hat for r in results if r is not None and r.converged]
     failed = replications - len(estimates)
     if failed / replications >= 0.05:

@@ -1,16 +1,24 @@
-"""JSON/CSV conversion for the public result types.
+"""Documents and encodings of the public result types.
 
-JSON documents are strict (no Infinity tokens): -inf log-probabilities and
-the infinite-CRB sentinel are encoded as null, with `estimable` flagging
-the latter.  Floats round-trip exactly (shortest-repr decimal on both the
-JSON and CSV paths).
+A document is the dict a result is written as.  JSON writes it whole and
+CSV reads its rows from it (one row for a report or a benchmark, the
+"rows" of a QSNR sweep, one (n, prob, log_prob) row per Fock level of a
+distribution), so the two encodings cannot disagree.
+
+Every float in a document passes through one rule, `_finite`: a
+non-finite number becomes None, so JSON is strict (null, never Infinity
+or NaN) and the CSV cell is empty.  `estimable` flags the infinite-CRB
+sentinel, and the `*_from_dict` readers map null back to the sentinels.
+Floats round-trip exactly: shortest-repr decimal in JSON and CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
-from typing import Any, Dict, IO, List
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,29 +37,33 @@ __all__ = [
     "report_from_dict",
     "benchmark_to_dict",
     "benchmark_from_dict",
-    "write_distribution_csv",
-    "write_report_csv",
-    "write_benchmark_csv",
-    "write_sweep_csv",
+    "sweep_to_dict",
+    "distribution_rows",
+    "to_json",
+    "to_csv",
+    "DISTRIBUTION_COLUMNS",
+    "REPORT_COLUMNS",
+    "BENCHMARK_COLUMNS",
     "SWEEP_COLUMNS",
 ]
 
-SWEEP_COLUMNS = [
-    "epsilon",
-    "n_target",
-    "mean_photon",
-    "fisher",
-    "qfi",
-    "qsnr",
-    "qsnr_leading",
-    "ratio",
-    "valid_regime",
-]
+DISTRIBUTION_COLUMNS = ["n", "prob", "log_prob"]
+REPORT_COLUMNS = ["epsilon", "fisher", "qfi", "qsnr", "mean_photon", "m_delta_coeff"]
+BENCHMARK_COLUMNS = ["epsilon_true", "shots", "replications", "seed", "empirical_var",
+                     "crb", "ratio", "bias", "estimable", "failed"]
+# The keys of a sweep row, in order; sweep_to_dict builds each row from them.
+SWEEP_COLUMNS = ["epsilon", "n_target", "mean_photon", "fisher", "qfi", "qsnr",
+                 "qsnr_leading", "ratio", "valid_regime"]
+
+
+def _finite(x: float) -> Optional[float]:
+    """The one non-finite rule: inf and nan become None (JSON null)."""
+    return x if math.isfinite(x) else None
 
 
 def spec_to_dict(spec: ProbeSpec) -> Dict[str, Any]:
     field = _probe(spec).field
-    return {"family": spec.family, field: getattr(spec, field)}
+    return {"family": spec.family, field: _finite(getattr(spec, field))}
 
 
 def spec_from_dict(data: Dict[str, Any]) -> ProbeSpec:
@@ -67,12 +79,12 @@ def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:
         "type": "photon_distribution",
         **spec_to_dict(dist.spec),
         "kind": dist.params.kind.value,
-        "epsilon": dist.params.epsilon,
+        "epsilon": _finite(dist.params.epsilon),
         "n_max": dist.n_max,
-        "tail_bound": dist.tail_bound,
-        "mean_photon": mean_photon(dist),
-        "probs": [float(p) for p in dist.probs],
-        "log_probs": [None if math.isinf(lp) else float(lp) for lp in dist.log_probs],
+        "tail_bound": _finite(dist.tail_bound),
+        "mean_photon": _finite(mean_photon(dist)),
+        "probs": [_finite(p) for p in dist.probs.tolist()],
+        "log_probs": [_finite(lp) for lp in dist.log_probs.tolist()],
     }
 
 
@@ -96,12 +108,12 @@ def report_to_dict(report: EstimationReport) -> Dict[str, Any]:
         "type": "estimation_report",
         **spec_to_dict(report.spec),
         "kind": report.kind.value,
-        "epsilon": report.epsilon,
-        "fisher": report.fisher,
-        "qfi": report.qfi,
-        "qsnr": report.qsnr,
-        "mean_photon": report.mean_photon,
-        "m_delta_coeff": None if math.isinf(report.m_delta_coeff) else report.m_delta_coeff,
+        "epsilon": _finite(report.epsilon),
+        "fisher": _finite(report.fisher),
+        "qfi": _finite(report.qfi),
+        "qsnr": _finite(report.qsnr),
+        "mean_photon": _finite(report.mean_photon),
+        "m_delta_coeff": _finite(report.m_delta_coeff),
     }
 
 
@@ -121,21 +133,18 @@ def report_from_dict(data: Dict[str, Any]) -> EstimationReport:
 
 def benchmark_to_dict(bench: CrbBenchmark, spec: ProbeSpec,
                       kind: DeformationKind) -> Dict[str, Any]:
-    def _num(x: float):
-        return None if (isinstance(x, float) and not math.isfinite(x)) else x
-
     return {
         "type": "crb_benchmark",
         **spec_to_dict(spec),
         "kind": kind.value,
-        "epsilon_true": bench.epsilon_true,
+        "epsilon_true": _finite(bench.epsilon_true),
         "shots": bench.shots,
         "replications": bench.replications,
         "seed": bench.seed,
-        "empirical_var": _num(bench.empirical_var),
-        "crb": _num(bench.crb),
-        "ratio": _num(bench.ratio),
-        "bias": _num(bench.bias),
+        "empirical_var": _finite(bench.empirical_var),
+        "crb": _finite(bench.crb),
+        "ratio": _finite(bench.ratio),
+        "bias": _finite(bench.bias),
         "estimable": bench.estimable,
         "failed": bench.failed,
     }
@@ -159,62 +168,58 @@ def benchmark_from_dict(data: Dict[str, Any]) -> CrbBenchmark:
     )
 
 
-def _fmt(value: Any) -> str:
+def sweep_to_dict(family: str, kind: DeformationKind, calibrated: bool,
+                  points: Iterable[Tuple[float, float, EstimationReport, float]]
+                  ) -> Dict[str, Any]:
+    """QSNR sweep document from (epsilon, n_target, report, qsnr_leading)
+    points, one row per point with the keys of SWEEP_COLUMNS.
+
+    ratio is qsnr / qsnr_leading, and null where qsnr_leading is 0;
+    valid_regime marks |epsilon| n_target <= 1.
+    """
+    rows = []
+    for eps, n_target, report, leading in points:
+        ratio = report.qsnr / leading if leading > 0 else math.nan
+        numbers = (eps, n_target, report.mean_photon, report.fisher, report.qfi,
+                   report.qsnr, leading, ratio)
+        rows.append(dict(zip(SWEEP_COLUMNS, [*map(_finite, numbers),
+                                             abs(eps) * n_target <= 1.0])))
+    return {
+        "type": "qsnr_sweep",
+        "family": family,
+        "kind": kind.value,
+        "calibrated": calibrated,
+        "rows": rows,
+    }
+
+
+def distribution_rows(doc: Mapping[str, Any]) -> Iterator[Dict[str, Any]]:
+    """CSV rows of a distribution document: n, prob, log_prob per level."""
+    for n, (prob, log_prob) in enumerate(zip(doc["probs"], doc["log_probs"])):
+        yield {"n": n, "prob": prob, "log_prob": log_prob}
+
+
+def to_json(doc: Mapping[str, Any]) -> str:
+    """Strict JSON text of a document (no trailing newline)."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _cell(value: Any) -> str:
+    """A CSV cell: null is empty, a bool is true/false, a float its repr."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_distribution_csv(dist: PhotonDistribution, stream: IO[str]) -> None:
-    """Columns: n,prob,log_prob (one row per retained Fock level)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["n", "prob", "log_prob"])
-    for n in range(dist.n_max + 1):
-        lp = dist.log_probs[n]
-        writer.writerow([n, _fmt(float(dist.probs[n])),
-                         "" if math.isinf(lp) else _fmt(float(lp))])
+def to_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
+    """CSV text: the header, then each row's cells read at `columns`.
 
-
-def write_report_csv(report: EstimationReport, stream: IO[str]) -> None:
-    """Single row with the estimation-report scalars."""
-    writer = csv.writer(stream, lineterminator="\n")
-    cols = ["epsilon", "fisher", "qfi", "qsnr", "mean_photon", "m_delta_coeff"]
-    writer.writerow(cols)
-    coeff = report.m_delta_coeff
-    writer.writerow([
-        _fmt(report.epsilon),
-        _fmt(report.fisher),
-        _fmt(report.qfi),
-        _fmt(report.qsnr),
-        _fmt(report.mean_photon),
-        "" if math.isinf(coeff) else _fmt(coeff),
-    ])
-
-
-def write_benchmark_csv(bench: CrbBenchmark, stream: IO[str]) -> None:
-    """Single row with the benchmark scalars (blank cells for sentinels)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    cols = ["epsilon_true", "shots", "replications", "seed", "empirical_var",
-            "crb", "ratio", "bias", "estimable", "failed"]
-    writer.writerow(cols)
-
-    def cell(x):
-        if isinstance(x, float) and not math.isfinite(x):
-            return ""
-        return _fmt(x)
-
-    writer.writerow([
-        _fmt(bench.epsilon_true), bench.shots, bench.replications, bench.seed,
-        cell(bench.empirical_var), cell(bench.crb), cell(bench.ratio),
-        cell(bench.bias), _fmt(bench.estimable), bench.failed,
-    ])
-
-
-def write_sweep_csv(rows: List[Dict[str, Any]], stream: IO[str]) -> None:
-    """QSNR sweep table; fixed column order per SWEEP_COLUMNS."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
+    LF line endings; every line, the last included, ends in one.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()

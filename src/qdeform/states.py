@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Tuple, Type, Union
+from typing import ClassVar, Dict, Type, Union
 
 import numpy as np
 
@@ -275,12 +275,11 @@ def _initial_n_max(n0: float) -> int:
     return int(max(16, math.ceil(8.0 * (n0 + math.sqrt(n0)))))
 
 
-def _certify(lnw_sup: np.ndarray) -> Tuple[float, float]:
+def _certify(lnw_sup: np.ndarray) -> float:
     """Certified log tail bound beyond the last retained support weight.
 
-    Returns (ln_tail_upper_bound, boundary_log_ratio).  Requires the
-    successive log-ratios to be non-increasing (up to slack) and the
-    boundary ratio to be < 1; raises DivergenceError otherwise.
+    Requires the successive log-ratios to be non-increasing (up to slack)
+    and the boundary ratio to be < 1; raises DivergenceError otherwise.
     """
     diffs = np.diff(lnw_sup)
     if diffs.size == 0:
@@ -293,8 +292,7 @@ def _certify(lnw_sup: np.ndarray) -> Tuple[float, float]:
     if r_log >= 0.0:
         raise DivergenceError("boundary weight ratio has not fallen below 1")
     # tail <= w_last * r / (1 - r)
-    ln_tail = float(lnw_sup[-1]) + r_log - math.log1p(-math.exp(r_log))
-    return ln_tail, r_log
+    return float(lnw_sup[-1]) + r_log - math.log1p(-math.exp(r_log))
 
 
 def build_distribution(
@@ -335,7 +333,7 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
         last = max(int(keep[-1]), 1)
         trimmed = lnw_sup[: last + 1]
         try:
-            ln_tail, _ = _certify(trimmed)
+            ln_tail = _certify(trimmed)
         except DivergenceError:
             if n_max >= HARD_CAP:
                 raise DivergenceError(

@@ -315,3 +315,173 @@ class TestNumericFormatting:
                              "--kind", "P", "--epsilon", "2e-3")
         assert np.array_equal(dist.probs,
                               serialize.distribution_from_dict(json.loads(out2)).probs)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse JSON that must hold no Infinity, -Infinity or NaN token."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def csv_table(text):
+    lines = text.split("\n")
+    assert lines[-1] == "" and "" not in lines[:-1]  # LF after every line
+    return [line.split(",") for line in lines[:-1]]
+
+
+BENCH_ARGV = ["benchmark", "--family", "thermal", "--n-mean", "4", "--kind", "M",
+              "--epsilon", "5e-3", "--shots", "1000", "--reps", "60", "--seed", "7"]
+
+# One case per subcommand: argv, the JSON keys in order, the CSV header.
+# The lists are written out here on purpose, not read from serialize.
+SHAPES = {
+    "state": (
+        ["state", "coherent", "--alpha-sq", "1", "--kind", "M", "--epsilon", "1e-3"],
+        ["type", "family", "alpha_sq", "kind", "epsilon", "n_max", "tail_bound",
+         "mean_photon", "probs", "log_probs"],
+        ["n", "prob", "log_prob"],
+    ),
+    "fisher": (
+        ["fisher", "--family", "coherent", "--alpha-sq", "10", "--kind", "M",
+         "--epsilon", "1e-3"],
+        ["type", "family", "alpha_sq", "kind", "epsilon", "fisher", "qfi", "qsnr",
+         "mean_photon", "m_delta_coeff"],
+        ["epsilon", "fisher", "qfi", "qsnr", "mean_photon", "m_delta_coeff"],
+    ),
+    "qsnr": (
+        ["qsnr", "--family", "thermal", "--kind", "P", "--epsilons", "1e-2",
+         "--n-values", "5,10"],
+        ["type", "family", "kind", "calibrated", "rows"],
+        ["epsilon", "n_target", "mean_photon", "fisher", "qfi", "qsnr",
+         "qsnr_leading", "ratio", "valid_regime"],
+    ),
+    "benchmark": (
+        BENCH_ARGV,
+        ["type", "family", "beta", "kind", "epsilon_true", "shots", "replications",
+         "seed", "empirical_var", "crb", "ratio", "bias", "estimable", "failed"],
+        ["epsilon_true", "shots", "replications", "seed", "empirical_var", "crb",
+         "ratio", "bias", "estimable", "failed"],
+    ),
+}
+SWEEP_ROW_KEYS = ["epsilon", "n_target", "mean_photon", "fisher", "qfi", "qsnr",
+                  "qsnr_leading", "ratio", "valid_regime"]
+
+
+def _csv_rows_of(command, doc):
+    """The rows a CSV of this command must carry, read from its JSON document."""
+    if command == "state":
+        levels = range(doc["n_max"] + 1)
+        return [list(t) for t in zip(levels, doc["probs"], doc["log_probs"])]
+    header = SHAPES[command][2]
+    records = doc["rows"] if command == "qsnr" else [doc]
+    return [[record[c] for c in header] for record in records]
+
+
+def _same_cell(cell, value):
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    return cell == repr(value)
+
+
+class TestOutputShapes:
+    @pytest.mark.parametrize("command", list(SHAPES))
+    def test_json_key_order(self, capsys, command):
+        argv, keys, _ = SHAPES[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        doc = strict_json(out)
+        assert list(doc) == keys
+        if command == "qsnr":
+            assert [list(row) for row in doc["rows"]] == [SWEEP_ROW_KEYS] * 2
+
+    @pytest.mark.parametrize("command", list(SHAPES))
+    def test_csv_header_and_cells_match_the_json(self, capsys, command):
+        argv, _, header = SHAPES[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        doc = strict_json(out)
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        table = csv_table(out)
+        assert table[0] == header
+        want = _csv_rows_of(command, doc)
+        assert len(table) - 1 == len(want)
+        for cells, values in zip(table[1:], want):
+            assert all(_same_cell(c, v) for c, v in zip(cells, values)), (cells, values)
+
+
+class TestNonFiniteNumbers:
+    """Every non-finite number is JSON null and an empty CSV cell."""
+
+    QSNR_AT_ZERO = ["qsnr", "--family", "coherent", "--kind", "M",
+                    "--epsilons", "0", "--n-values", "10"]
+    FISHER_P_AT_ZERO = ["fisher", "--family", "coherent", "--alpha-sq", "5",
+                        "--kind", "P", "--epsilon", "0"]
+    NON_ESTIMABLE = ["benchmark", "--family", "coherent", "--alpha-sq", "5",
+                     "--kind", "P", "--epsilon", "0", "--shots", "100",
+                     "--reps", "60", "--seed", "1"]
+
+    def test_qsnr_ratio_at_zero_epsilon_json(self, capsys):
+        code, out, err = run_cli(capsys, *self.QSNR_AT_ZERO)
+        assert (code, err) == (0, "")
+        (row,) = strict_json(out)["rows"]
+        assert row["qsnr_leading"] == 0.0
+        assert row["ratio"] is None
+
+    def test_qsnr_ratio_at_zero_epsilon_csv(self, capsys):
+        code, out, err = run_cli(capsys, *self.QSNR_AT_ZERO, "--format", "csv")
+        assert (code, err) == (0, "")
+        header, row = csv_table(out)
+        assert row[header.index("ratio")] == ""
+        assert row[header.index("qsnr_leading")] == "0.0"
+
+    def test_fisher_m_delta_at_zero_epsilon(self, capsys):
+        code, out, _ = run_cli(capsys, *self.FISHER_P_AT_ZERO)
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["qsnr"] == 0.0 and doc["m_delta_coeff"] is None
+        code, out, _ = run_cli(capsys, *self.FISHER_P_AT_ZERO, "--format", "csv")
+        assert code == 0
+        header, row = csv_table(out)
+        assert row[header.index("m_delta_coeff")] == ""
+
+    def test_non_estimable_benchmark(self, capsys):
+        code, out, _ = run_cli(capsys, *self.NON_ESTIMABLE)
+        assert code == 0
+        doc = strict_json(out)
+        assert [doc[k] for k in ("empirical_var", "crb", "ratio", "bias")] == [None] * 4
+        assert doc["estimable"] is False
+        code, out, _ = run_cli(capsys, *self.NON_ESTIMABLE, "--format", "csv")
+        assert code == 0
+        header, row = csv_table(out)
+        assert [row[header.index(k)] for k in ("empirical_var", "crb", "ratio", "bias")] \
+            == [""] * 4
+        assert row[header.index("estimable")] == "false"
+
+
+class TestUnwritableOut:
+    ARGV = ["state", "coherent", "--alpha-sq", "1", "--kind", "M", "--epsilon", "0"]
+
+    def test_missing_directory_exit_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *self.ARGV, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"qdeform: cannot write {target}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_as_out_exit_1(self, tmp_path, capsys):
+        target = tmp_path / "adir"
+        target.mkdir()
+        code, out, err = run_cli(capsys, *self.ARGV, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"qdeform: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [target]  # no .qdeform-*.tmp left
+        assert list(target.iterdir()) == []

@@ -176,10 +176,11 @@ class TestCalibration:
             calibrate_intensity(ThermalSpec.from_mean_photon(5000.0),
                                 DeformationParams(P, 0.3), 5000.0)
 
-    def test_exhausted_iterations_are_a_divergence_error(self):
+    def test_exhausted_iterations_are_a_divergence_error(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_CALIBRATION_MAX_ITER", 2)
         with pytest.raises(DivergenceError, match="did not converge"):
             calibrate_intensity(ThermalSpec.from_mean_photon(200.0),
-                                DeformationParams(P, 0.3), 200.0, max_iter=2)
+                                DeformationParams(P, 0.3), 200.0)
 
     def test_flat_response_is_a_divergence_error(self):
         # Near the vacuum every level above n = 0 is below the probability
