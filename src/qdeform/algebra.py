@@ -17,6 +17,9 @@ epsilon = 0), and the removable singularity of [n] at epsilon = 0 is
 evaluated through expm1/log1p, with epsilon = 0 special-cased to the
 undeformed limits.  The epsilon-derivatives cancel near epsilon = 0 in
 closed form, so there a Taylor series takes over (dlog_q_number_values).
+The level vectors of the last (kind, epsilon) are kept and grown by new
+segments only (_Levels), since a calibrated point evaluates one epsilon
+at many intensities.
 The product forms and small-epsilon expansions that the tests check these
 values against are not part of this module.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -84,20 +88,24 @@ def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int) -> np.ndarray:
-    """ln [j] for j = 0..n_max, one row per epsilon (column 0 holds -inf).
+def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
+                start: int = 0) -> np.ndarray:
+    """ln [j] for j = start..n_max, one row per epsilon (column j = 0 holds -inf).
 
     Every row is bit-identical to evaluating that epsilon alone: the
     per-epsilon constants go through scalar math.log1p/math.log, and the
-    rest is elementwise.
+    rest is elementwise.  So every entry depends on its own j and epsilon
+    only, and the columns of a call from `start` are bit for bit those of
+    a call from 0; _Levels grows its vectors by such segments.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     eps = np.asarray(eps, dtype=float)
-    out = np.full((eps.size, n_max + 1), -np.inf)
-    if n_max == 0:
+    out = np.full((eps.size, n_max + 1 - start), -np.inf)
+    first = max(start, 1)
+    if n_max < first:
         return out
-    j = np.arange(1, n_max + 1, dtype=float)
+    j = np.arange(first, n_max + 1, dtype=float)
     L = np.array([math.log1p(e) for e in eps])[:, None]
     if kind is DeformationKind.M:
         den = eps
@@ -106,23 +114,93 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int) -> np.ndarra
         den = eps * (2.0 + eps)
         body = (1.0 - j) * L + _log_abs_expm1(2.0 * j * L)
     log_den = np.array([math.log(abs(d)) if d else 0.0 for d in den])[:, None]
-    out[:, 1:] = body - log_den
-    out[eps == 0.0, 1:] = np.log(j)
+    out[:, first - start:] = body - log_den
+    out[eps == 0.0, first - start:] = np.log(j)
     return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Levels:
+    """ln [j], gamma_j = [j] and ln Delta_j for j = 0..n of one (kind, epsilon).
+
+    Only the last epsilon asked about is kept (_levels), since between the
+    Newton iterates of a calibrated point only the intensity changes.  Each
+    vector is grown on demand by its new segment only: ln [j] from a start
+    column of _log_q_rows, gamma by exponentiating that segment, ln Delta by
+    continuing its cumulative sum from the last entry.  Every entry is
+    elementwise or a sequential sum, so each prefix has the bits of a fresh
+    evaluation.  The arrays are read-only; the public functions return
+    copies.  Callers in two threads can at worst compute a segment twice:
+    every array stored holds the same values.
+    """
+
+    def __init__(self, kind: DeformationKind, eps: float) -> None:
+        self.kind, self.eps, self.key = kind, eps, (kind, eps.hex())
+        self._log_q = _frozen(np.full(1, -np.inf))
+        self._gamma = _frozen(np.zeros(1))
+        self._log_delta = _frozen(np.zeros(1))
+
+    def _grow(self, name: str, n_max: int, extend) -> np.ndarray:
+        """Vector `name` for j = 0..n_max; extend(kept, ln [j] segment) gives
+        the entries it lacks."""
+        have = getattr(self, name)
+        if len(have) <= n_max:
+            segment = _log_q_rows(self.kind, np.array([self.eps]), n_max, len(have))[0]
+            have = _frozen(np.concatenate((have, extend(have, segment))))
+            setattr(self, name, have)
+        return have[: n_max + 1]
+
+    def log_q(self, n_max: int) -> np.ndarray:
+        return self._grow("_log_q", n_max, lambda have, lq: lq)
+
+    def gamma(self, n_max: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self._grow("_gamma", n_max, lambda have, lq: np.exp(lq))
+
+    def log_delta(self, n_max: int) -> np.ndarray:
+        return self._grow("_log_delta", n_max,
+                          lambda have, lq: np.cumsum(np.concatenate((have[-1:], lq)))[1:])
+
+
+_last_levels: Optional[_Levels] = None
+
+
+def _levels(kind: DeformationKind, eps: float) -> _Levels:
+    """The kept level vectors of (kind, eps), replacing those of any other key.
+
+    The key holds the bits of eps, so -0.0 and 0.0 are kept apart."""
+    global _last_levels
+    eps = float(eps)
+    kept = _last_levels
+    if kept is None or kept.key != (kind, eps.hex()):
+        kept = _last_levels = _Levels(kind, eps)
+    return kept
+
+
+def _clear_levels() -> None:
+    """Drop the kept level vectors."""
+    global _last_levels
+    _last_levels = None
+
+
+def _checked_levels(params: DeformationParams, n_max: int) -> _Levels:
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    return _levels(params.kind, params.epsilon)
 
 
 def log_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """ln [j] for j = 0..n_max (index 0 holds -inf since [0] = 0)."""
-    return _log_q_rows(params.kind, np.array([params.epsilon]), n_max)[0]
+    return _checked_levels(params, n_max).log_q(n_max).copy()
 
 
 def log_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """ln Delta_n = sum_{j<=n} ln [j] for n = 0..n_max (Delta_0 = 1)."""
-    lq = log_q_number_values(params, n_max)
-    out = np.zeros(n_max + 1)
-    if n_max >= 1:
-        out[1:] = np.cumsum(lq[1:])
-    return out
+    return _checked_levels(params, n_max).log_delta(n_max).copy()
 
 
 # Taylor coefficients of K(u) = 1 + c_1 u + sum_k c_2k u^2k, the function in
@@ -214,16 +292,14 @@ def gamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
     Entries overflow to +inf once [n] exceeds float range; callers that
     exponentiate -beta*gamma treat those levels as zero-weight.
     """
-    with np.errstate(over="ignore"):
-        g = np.exp(log_q_number_values(params, n_max))
-    g[0] = 0.0
-    return g
+    return _checked_levels(params, n_max).gamma(n_max).copy()
 
 
 def dgamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """d/d epsilon of gamma_n for n = 0..n_max (gamma_0 = 0 identically)."""
+    dq = dlog_q_number_values(params, n_max)
     with np.errstate(invalid="ignore"):
-        dg = gamma_values(params, n_max) * dlog_q_number_values(params, n_max)
+        dg = _levels(params.kind, params.epsilon).gamma(n_max) * dq
     dg[0] = 0.0
     return dg
 

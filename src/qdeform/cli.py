@@ -33,7 +33,7 @@ from .estimation import (
     leading_order_qsnr,
 )
 from .montecarlo import crb_benchmark
-from .states import FAMILIES, ProbeSpec, build_distribution
+from .states import DEFAULT_TOL, FAMILIES, ProbeSpec, build_distribution
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,7 +78,7 @@ def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
         parser.add_argument("--epsilon", required=True, type=float,
                             help="deformation strength (must be > -1); use "
                                  "--epsilon=-1e-3 for negative values")
-    parser.add_argument("--tol", type=float, default=1e-12,
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="certified tail tolerance, in (0, 1e-6]")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")

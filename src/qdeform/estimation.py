@@ -44,6 +44,7 @@ import numpy as np
 from .algebra import DeformationKind, DeformationParams
 from .errors import DivergenceError, DomainError
 from .states import (
+    DEFAULT_TOL,
     PhotonDistribution,
     ProbeSpec,
     _probe,
@@ -135,7 +136,7 @@ def calibrate_intensity(
     spec: ProbeSpec,
     params: DeformationParams,
     mean_target: float,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> ProbeSpec:
     """Re-solve the intensity parameter theta (|alpha|^2 or beta) so the
     deformed mean photon number equals mean_target.
@@ -202,7 +203,7 @@ def classical_fisher(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     hold: str = "mean_photon",
 ) -> float:
     """Classical Fisher information of photon counting for estimating epsilon."""
@@ -265,7 +266,7 @@ def estimation_report(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     hold: str = "mean_photon",
 ) -> EstimationReport:
     """Assemble Fisher information, QFI, QSNR, mean photon and M_delta.

@@ -36,6 +36,7 @@ from .algebra import DeformationKind, DeformationParams
 from .errors import BenchmarkError, DomainError, OutOfSupportError
 from .estimation import _analytic_score, _score_variance
 from .states import (
+    DEFAULT_TOL,
     PhotonDistribution,
     ProbeSpec,
     _check_normalizable,
@@ -270,7 +271,7 @@ def log_likelihood(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Sum of counts[n] ln p_n(epsilon), with support sized to the sample."""
     ns, cs = _counts_arrays(sample)
@@ -287,7 +288,7 @@ def mle_epsilon(
     spec: ProbeSpec,
     kind: DeformationKind,
     bracket: Tuple[float, float],
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     n_support: Optional[int] = None,
 ) -> MleResult:
     """Golden-section maximization of the log-likelihood over a bracket.
@@ -321,14 +322,17 @@ def crb_benchmark(
     shots: int,
     replications: int,
     seed: int,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> CrbBenchmark:
     """Empirical MLE variance over replications versus 1/(shots * F).
 
     F is the fixed-intensity Fisher information of the sampled family (the
     quantity the MLE over epsilon at known intensity is bounded by).  A
     vanishing F (e.g. P deformation at epsilon_true = 0) is reported as
-    non-estimable with an infinite-CRB sentinel instead of sampling.
+    non-estimable with an infinite-CRB sentinel instead of sampling.  The
+    MLE searches epsilon_true +- max(0.02, 20/sqrt(shots F)), clipped to
+    [-0.5, 0.5] and to where the family stays normalizable; an epsilon_true
+    outside that clipped bracket raises DomainError.
     """
     if shots <= 0:
         raise DomainError(f"shots must be positive, got {shots}")
@@ -357,6 +361,12 @@ def crb_benchmark(
     lo = max(epsilon_true - half, -0.5, _min_admissible_epsilon(spec, kind))
     hi = min(epsilon_true + half, 0.5)
     a, b = _ordered_bracket((lo, hi))
+    if not a < epsilon_true < b:
+        raise DomainError(
+            f"epsilon_true = {epsilon_true} lies outside the MLE bracket ({a}, {b}): "
+            f"the search is clipped to [-0.5, 0.5] and to the admissible minimum "
+            f"{_min_admissible_epsilon(spec, kind)}"
+        )
     n_support = _bracket_support(spec, kind, a, b, tol)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, np.uint64)
     samples = [_counts_arrays(sample_counts(dist, shots, int(s))) for s in rep_seeds]

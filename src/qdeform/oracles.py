@@ -58,7 +58,7 @@ def qfi_pure(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     hold: str = "mean_photon",
 ) -> float:
     """QFI of a pure real-amplitude probe (coherent or cat): 4 sum (d psi_n)^2."""
@@ -94,7 +94,7 @@ def log_likelihood_gradient(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """d/d epsilon of the log-likelihood, from the analytic score."""
     ns, cs = _counts_arrays(sample)
@@ -113,7 +113,7 @@ def fd_information(
     spec: ProbeSpec,
     kind: DeformationKind,
     epsilon: float,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     hold: str = "mean_photon",
     step: Optional[float] = None,
     richardson_rtol: float = 1e-4,

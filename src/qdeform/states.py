@@ -39,10 +39,11 @@ import numpy as np
 from .algebra import (
     DeformationKind,
     DeformationParams,
+    _clear_levels,
+    _levels,
     _log_q_rows,
     dgamma_values,
     dlog_delta_values,
-    gamma_values,
 )
 from .errors import DivergenceError, DomainError
 
@@ -76,7 +77,8 @@ class _Probe:
     n0                     undeformed mean photon number (sizes a build)
     m_divergence_rate      M, epsilon < 0: the weights diverge once
                            m_divergence_rate |epsilon| >= 1
-    log_weight_rows(kind, eps, n_max)   ln w_n, one row per epsilon
+    log_weight_rows(kind, eps, n_max)   ln w_n, one row per epsilon (one
+                                        epsilon reads algebra's kept levels)
     eps_score(params, n_max)            d ln w_n / d epsilon
     intensity_score(params, n_max)      d ln w_n / d theta
     mean_expansion(params, regime)      leading-order mean photon number
@@ -121,9 +123,12 @@ class _AlphaSqProbe(_Probe):
         return self.alpha_sq
 
     def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
-        lq = _log_q_rows(kind, eps, n_max)
-        log_delta = np.zeros_like(lq)
-        log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
+        if len(eps) == 1:
+            log_delta = _levels(kind, eps[0]).log_delta(n_max)[None, :]
+        else:
+            lq = _log_q_rows(kind, eps, n_max)
+            log_delta = np.zeros_like(lq)
+            log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
         return np.arange(n_max + 1, dtype=float) * math.log(self.alpha_sq) - log_delta
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
@@ -179,7 +184,10 @@ class ThermalSpec(_Probe):
 
     def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
         with np.errstate(over="ignore"):
-            g = np.exp(_log_q_rows(kind, eps, n_max + 1))
+            if len(eps) == 1:
+                g = _levels(kind, eps[0]).gamma(n_max + 1)[None, :]
+            else:
+                g = np.exp(_log_q_rows(kind, eps, n_max + 1))
             return -(self.beta / 2.0) * (g[:, 1:] + g[:, :-1] - 1.0)
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
@@ -188,7 +196,7 @@ class ThermalSpec(_Probe):
             return -(self.beta / 2.0) * (dg[1:] + dg[:-1])
 
     def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
-        g = gamma_values(params, n_max + 1)
+        g = _levels(params.kind, params.epsilon).gamma(n_max + 1)
         with np.errstate(invalid="ignore"):
             return -(g[1:] + g[:-1] - 1.0) / 2.0
 
@@ -305,7 +313,15 @@ def build_distribution(
     The last build is kept: a call that repeats it, such as the report on a
     spec that calibrate_intensity has just solved, gets the same read-only
     distribution back without rebuilding.  Errors are not kept, and
-    build_distribution.cache_clear() drops the kept build.
+    build_distribution.cache_clear() drops the kept build, together with the
+    level vectors that algebra keeps for the last epsilon.
+
+    Those vectors are shared by every build at one (kind, epsilon), whatever
+    the intensity, and a longer support only appends their new segment: each
+    entry of ln [j] depends on its own j alone, gamma_j is its elementwise
+    exponential and ln Delta_j a running sum, so a build reads the same bits
+    as from a fresh evaluation, and its result never depends on what was
+    built before.
     """
     _check_normalizable(spec, params)
     if not (0.0 < tol <= 1e-6):
@@ -313,6 +329,17 @@ def build_distribution(
     # -0.0 == 0.0 and both hash alike, so the sign of epsilon joins the key:
     # a hit never hands back the other zero in dist.params.
     return _build_last(spec, params, tol, math.copysign(1.0, params.epsilon))
+
+
+def _tail_surely_above(peak: float, size: int, ln_tail: float, tol: float) -> bool:
+    """Whether the certified tail must exceed tol, without summing the weights.
+
+    The total of `size` log-weights at most `peak` is at most size e^peak,
+    so ln_tail - ln_total is at least what this bound gives; the margin
+    covers the rounding of both logs, so the exact test would fail too.
+    """
+    ln_bound = float(np.logaddexp(peak + math.log(size), ln_tail))
+    return ln_tail - ln_bound > math.log(tol) + 1e-6
 
 
 @functools.lru_cache(maxsize=1)
@@ -324,8 +351,7 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
     while True:
         n_max = min(n_max + n_max % step, HARD_CAP)  # even support needs even n_max
         lnw = spec.log_weight_rows(params.kind, [params.epsilon], n_max)[0]
-        support = np.arange(0, n_max + 1, step)
-        lnw_sup = lnw[support]
+        lnw_sup = lnw[::step]
         peak = float(np.max(lnw_sup))
         # Trim underflowed tail entries before ratio analysis, keeping the
         # two support points that _certify needs for one ratio.
@@ -343,9 +369,12 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
                 ) from None
             n_max = min(2 * n_max, HARD_CAP)
             continue
+        if n_max < HARD_CAP and _tail_surely_above(peak, len(trimmed), ln_tail, tol):
+            n_max = min(2 * n_max, HARD_CAP)
+            continue
         ln_total = float(np.logaddexp(_logsumexp(trimmed), ln_tail))
         if math.exp(ln_tail - ln_total) <= tol:
-            return _finalize(lnw, support[: last + 1], trimmed, ln_tail, ln_total,
+            return _finalize(lnw, np.arange(last + 1) * step, trimmed, ln_tail, ln_total,
                              tol, params, spec)
         if n_max >= HARD_CAP:
             raise DivergenceError(
@@ -355,7 +384,13 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
         n_max = min(2 * n_max, HARD_CAP)
 
 
-build_distribution.cache_clear = _build_last.cache_clear
+def _clear_kept() -> None:
+    """Drop the kept build and the kept level vectors of algebra."""
+    _build_last.cache_clear()
+    _clear_levels()
+
+
+build_distribution.cache_clear = _clear_kept
 
 
 def _finalize(
@@ -369,22 +404,21 @@ def _finalize(
     spec: ProbeSpec,
 ) -> PhotonDistribution:
     """Trim the certified support down to the smallest n_max meeting tol."""
-    # suffix[i] = normalized mass of the support weights strictly after
+    # q = normalized support weights; suffix[i] = their mass strictly after
     # position i, plus the certified beyond-support tail.  The trimmed
     # support lies within _UNDERFLOW_LOG of the peak, so the sum can run in
-    # the linear domain.
+    # the linear domain, and q up to the cut gives the probabilities.
     with np.errstate(under="ignore"):
-        w = np.exp(lnw_sup[::-1] - ln_total)
-    suffix = np.cumsum(np.append(math.exp(ln_tail - ln_total), w))[::-1][1:]
+        q = np.exp(lnw_sup - ln_total)
+    suffix = np.cumsum(np.append(math.exp(ln_tail - ln_total), q[::-1]))[::-1][1:]
     ok = np.nonzero(suffix <= tol)[0]
     cut = int(ok[0]) if ok.size else len(lnw_sup) - 1
     n_max = int(support[cut])
     tail_bound = float(suffix[cut])
 
     log_probs = lnw[: n_max + 1] - ln_total
-    with np.errstate(under="ignore"):
-        probs = np.exp(log_probs)
-    probs[~np.isfinite(log_probs)] = 0.0
+    probs = np.zeros(n_max + 1)
+    probs[::spec.step] = q[: cut + 1]
     probs.flags.writeable = log_probs.flags.writeable = False
     return PhotonDistribution(
         probs=probs,

@@ -371,3 +371,97 @@ class TestMpmathOracle:
             want = float(mp.fsum(a * (s - mean) ** 2 for a, s in zip(w, score)) / z)
         got = classical_fisher(CoherentSpec(alpha_sq), P, eps, hold="intensity")
         assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+# --------------------------------------------------------------------------
+# The level vectors kept for the last epsilon.  derandomize keeps tier-1
+# deterministic; database=None keeps hypothesis from writing example files.
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qdeform import algebra  # noqa: E402
+from qdeform.algebra import _Levels, _log_q_rows, dgamma_values  # noqa: E402
+
+SEGMENTS = settings(derandomize=True, deadline=None, database=None, max_examples=80)
+signed_eps = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-9.0, math.log10(0.5))).map(
+        lambda t: t[0] * 10.0 ** t[1]),
+)
+
+
+def one_shot(kind, eps, n_max):
+    """ln [j], gamma_j and ln Delta_j for j = 0..n_max from one long call."""
+    lq = _log_q_rows(kind, np.array([eps]), n_max)[0]
+    with np.errstate(over="ignore"):
+        g = np.exp(lq)
+    ld = np.zeros(n_max + 1)
+    ld[1:] = np.cumsum(lq[1:])
+    return lq, g, ld
+
+
+class TestLevelSegments:
+    @SEGMENTS
+    @given(st.sampled_from([M, P]), signed_eps, st.integers(0, 3000), st.data())
+    def test_segment_equals_the_columns_of_one_long_call(self, kind, eps, n_max, data):
+        start = data.draw(st.integers(0, n_max + 1))
+        whole = _log_q_rows(kind, np.array([eps]), n_max)[0]
+        part = _log_q_rows(kind, np.array([eps]), n_max, start)[0]
+        assert part.tobytes() == whole[start:].tobytes()
+
+    @pytest.mark.parametrize("kind", [M, P])
+    @pytest.mark.parametrize("eps", [0.5, -0.3, 2e-2])
+    def test_segments_across_large_arguments(self, kind, eps):
+        # |j L| passes 33 (M) or 16.5 (P) inside [0, 4000], where
+        # _log_abs_expm1 switches to its large-argument formula.
+        n_max = 4000
+        assert n_max * abs(math.log1p(eps)) > 33.0
+        whole = _log_q_rows(kind, np.array([eps]), n_max)[0]
+        for start in (1, 2, 33, 65, 66, 67, 127, 1651, 1652, 3999, 4000):
+            part = _log_q_rows(kind, np.array([eps]), n_max, start)[0]
+            assert part.tobytes() == whole[start:].tobytes()
+
+    @SEGMENTS
+    @given(st.sampled_from([M, P]), signed_eps,
+           st.lists(st.tuples(st.sampled_from(["log_q", "gamma", "log_delta"]),
+                              st.integers(0, 2500)), min_size=1, max_size=8))
+    def test_grown_vectors_equal_one_shot_evaluations(self, kind, eps, requests):
+        levels = _Levels(kind, eps)
+        for vector, n_max in requests:
+            got = getattr(levels, vector)(n_max)
+            want = dict(zip(("log_q", "gamma", "log_delta"), one_shot(kind, eps, n_max)))
+            assert got.tobytes() == want[vector].tobytes()
+            assert not got.flags.writeable
+
+
+class TestLevelMemo:
+    def test_keeps_one_epsilon_only(self):
+        first = algebra._levels(M, 1e-3)
+        assert algebra._levels(M, 1e-3) is first
+        second = algebra._levels(M, 2e-3)
+        assert second is not first and algebra._last_levels is second
+        assert algebra._levels(P, 2e-3) is not second  # the kind joins the key
+        assert algebra._levels(P, -0.0) is not algebra._levels(P, 0.0)
+        assert algebra._levels(M, 1e-3) is not first  # first was dropped
+
+    def test_clear_drops_the_kept_vectors(self):
+        from qdeform.states import build_distribution
+
+        kept = algebra._levels(M, 1e-3)
+        build_distribution.cache_clear()
+        assert algebra._last_levels is None
+        assert algebra._levels(M, 1e-3) is not kept
+
+    @pytest.mark.parametrize("kind, eps", [(M, 1e-3), (P, -2e-2), (P, 0.0)])
+    def test_returned_arrays_are_fresh(self, kind, eps):
+        pr = params(kind, eps)
+        functions = (log_q_number_values, log_delta_values, gamma_values, dgamma_values)
+        before = [f(pr, 300).copy() for f in functions]
+        for f in functions:
+            values = f(pr, 300)
+            assert values.flags.writeable
+            values[...] = 7.0
+        for f, want in zip(functions, before):
+            assert f(pr, 300).tobytes() == want.tobytes()
+            assert f(pr, 200).tobytes() == want[:201].tobytes()
+        assert log_delta(pr, 250) == float(one_shot(kind, eps, 250)[2][250])

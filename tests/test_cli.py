@@ -485,3 +485,14 @@ class TestUnwritableOut:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [target]  # no .qdeform-*.tmp left
         assert list(target.iterdir()) == []
+
+
+class TestBenchmarkBracket:
+    @pytest.mark.parametrize("kind, eps", [("M", "0.6"), ("P", "-0.6"), ("M", "-0.47")])
+    def test_epsilon_outside_the_bracket_exit_2(self, capsys, kind, eps):
+        code, out, err = run_cli(capsys, "benchmark", "--family", "coherent",
+                                 "--alpha-sq", "2", "--kind", kind, f"--epsilon={eps}",
+                                 "--shots", "2000", "--reps", "50", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "outside the MLE bracket" in err

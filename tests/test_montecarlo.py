@@ -245,3 +245,20 @@ class TestCrbBenchmark:
         with pytest.warns(RuntimeWarning):
             crb_benchmark(ThermalSpec.from_mean_photon(2.0), M, 5e-3,
                           shots=500, replications=10, seed=4)
+
+
+class TestBracketHoldsTheTruth:
+    # The MLE bracket is clipped to [-0.5, 0.5] and to the admissible
+    # minimum (-0.9 / |alpha|^2 = -0.45 here for M); outside it every
+    # estimate sat on an edge and the ratio read 0.
+    @pytest.mark.parametrize("kind, eps", [(M, 0.6), (P, -0.6), (M, -0.47), (P, 0.5)])
+    def test_epsilon_outside_the_bracket_is_a_domain_error(self, kind, eps):
+        with pytest.raises(DomainError, match="outside the MLE bracket"):
+            crb_benchmark(CoherentSpec(2.0), kind, eps, shots=2000,
+                          replications=50, seed=1)
+
+    def test_epsilon_inside_the_clipped_bracket_runs(self):
+        bench = crb_benchmark(CoherentSpec(2.0), M, 0.45, shots=2000,
+                              replications=50, seed=1)
+        assert bench.estimable and bench.failed == 0
+        assert bench.empirical_var > 0.0 and bench.ratio > 0.1

@@ -7,6 +7,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdeform import states
 from qdeform.algebra import DeformationKind, DeformationParams
@@ -486,3 +487,94 @@ class TestMpmathProbabilities:
         if spec.step == 2:
             assert np.all(dist.probs[1::2] == 0.0)
             assert np.all(dist.log_probs[1::2] == -np.inf)
+
+
+class TestGrowthPath:
+    # n_max, float.hex of tail_bound and of sum(probs), recorded before the
+    # level vectors were kept between builds and before rounds that must
+    # fail stopped summing their weights.  The first two thermal builds
+    # take three doubling rounds (8N, 16N, 32N), the next two take two.
+    @pytest.mark.parametrize("spec, kind, eps, tol, n_max, tail_hex, sum_hex", [
+        (ThermalSpec.from_mean_photon(200.0), M, 1e-4, 1e-12,
+         4353, "0x1.1781ae443e703p-40", "0x1.fffffffffdd0ep-1"),
+        (ThermalSpec.from_mean_photon(1000.0), P, -1e-4, 1e-12,
+         17042, "0x1.192e39662324bp-40", "0x1.fffffffffdcdbp-1"),
+        (ThermalSpec.from_mean_photon(200.0), M, 1e-3, 1e-12,
+         1825, "0x1.14df037fce1dbp-40", "0x1.fffffffffdd68p-1"),
+        (ThermalSpec.from_mean_photon(250.0), P, 0.0, 1e-6,
+         3460, "0x1.0c335ed121657p-20", "0x1.ffffde799425fp-1"),
+        (ThermalSpec.from_mean_photon(4900.0), M, 1e-4, 1e-15,
+         28149, "0x1.1f65097344f4fp-50", "0x1.ffffffffffff0p-1"),
+        (CoherentSpec(300.0), M, -1e-3, 1e-12,
+         514, "0x1.cfc5d8a9faab3p-41", "0x1.fffffffffe27cp-1"),
+        (CoherentSpec(40.0), P, 1e-2, 1e-9,
+         80, "0x1.3fe37d13e1028p-31", "0x1.fffffffb00738p-1"),
+        (CatSpec(40.0), M, -1e-3, 1e-12,
+         94, "0x1.dd102d8f559a6p-42", "0x1.ffffffffff11cp-1"),
+        (CatSpec(250.0), P, 1e-3, 1e-15,
+         380, "0x1.9f884746f7637p-51", "0x1.fffffffffffd7p-1"),
+    ])
+    def test_pinned_builds(self, spec, kind, eps, tol, n_max, tail_hex, sum_hex):
+        dist = build_distribution(spec, params(kind, eps), tol)
+        assert dist.n_max == n_max
+        assert dist.tail_bound.hex() == tail_hex
+        assert float(dist.probs.sum()).hex() == sum_hex
+
+    @pytest.mark.parametrize("cls, kind, eps", [
+        (ThermalSpec, P, -1e-4), (ThermalSpec, M, 1e-4), (CoherentSpec, M, -1e-4),
+        (CatSpec, P, 1e-3),
+    ])
+    def test_builds_after_growth_equal_fresh_builds(self, cls, kind, eps):
+        # The first spec grows the vectors furthest (thermal through 8N,
+        # 16N and 32N), then smaller supports at the same epsilon read them.
+        specs = [cls.from_mean_photon(n) for n in (300.0, 40.0, 299.0, 2.0, 150.0)]
+        pr = params(kind, eps)
+        kept = [build_distribution(spec, pr) for spec in specs]
+        for spec, dist in zip(specs, kept):
+            build_distribution.cache_clear()
+            fresh = build_distribution(spec, pr)
+            assert fresh is not dist
+            for field in dataclasses.fields(PhotonDistribution):
+                got, want = getattr(dist, field.name), getattr(fresh, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert repr(got) == repr(want)
+
+
+SHORTCUT = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+class TestDoublingShortcut:
+    @SHORTCUT
+    @given(st.lists(st.floats(-2000.0, 2000.0), min_size=2, max_size=300),
+           st.floats(-800.0, 60.0), st.floats(-18.0, -6.0), st.booleans())
+    def test_shortcut_implies_the_full_test_fails(self, weights, offset, log10_tol, ties):
+        lnw = np.array(weights)
+        if ties:  # equal weights make the bound size e^peak exact
+            lnw[:] = lnw.max()
+        peak = float(lnw.max())
+        ln_tail, tol = peak + offset, 10.0 ** log10_tol
+        if states._tail_surely_above(peak, lnw.size, ln_tail, tol):
+            ln_total = float(np.logaddexp(_logsumexp(lnw), ln_tail))
+            assert math.exp(ln_tail - ln_total) > tol
+
+    def test_margin(self):
+        # Ten equal weights: the bound is the exact total, so the shortcut
+        # fires once the tail exceeds tol by more than the 1e-6 margin.
+        lnw, tol = np.zeros(10), 1e-9
+        for excess, fires in ((2e-6, True), (0.5e-6, False)):
+            # the tail at which tail / (10 + tail) = tol e^excess
+            target = tol * math.exp(excess)
+            ln_tail = math.log(10.0 * target / (1.0 - target))
+            assert states._tail_surely_above(0.0, lnw.size, ln_tail, tol) is fires
+            ln_total = float(np.logaddexp(_logsumexp(lnw), ln_tail))
+            assert math.exp(ln_tail - ln_total) > tol
+
+    def test_rounds_that_must_fail_skip_the_sum(self, monkeypatch):
+        sums = []
+        real = states._logsumexp
+        monkeypatch.setattr(states, "_logsumexp", lambda a: sums.append(a.size) or real(a))
+        dist = build_distribution(ThermalSpec.from_mean_photon(200.0), params(M, 1e-4))
+        assert dist.n_max == 4353
+        assert len(sums) == 1  # only the third round (32N) sums its weights
