@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import serialize
@@ -241,8 +242,16 @@ def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> _Result:
         parser.error("--reps must be a positive integer")
     spec = _spec_from_args(parser, args)
     kind = DeformationKind(args.kind)
-    bench = crb_benchmark(spec, kind, args.epsilon, args.shots, args.reps,
-                          args.seed, args.tol)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            bench = crb_benchmark(spec, kind, args.epsilon, args.shots, args.reps,
+                                  args.seed, args.tol)
+        finally:
+            # One line per distinct message, without the source path and
+            # line that Python's own warning format prints.
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                sys.stderr.write(f"qdeform: warning: {message}\n")
     doc = serialize.benchmark_to_dict(bench, spec, kind)
     return doc, serialize.BENCHMARK_COLUMNS, [doc]
 

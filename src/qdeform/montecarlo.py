@@ -14,9 +14,14 @@ the 9-point coarse scan and the first two golden points are the same for
 every replication, so they are computed once.  mle_epsilon is the same
 search with one sample.  Batching must not change a single bit: with
 xtol = 1e-10 the search resolves epsilon below the likelihood's rounding
-floor, so a re-associated sum would move the estimates.  Every row is
-therefore computed exactly as a lone evaluation would be, and each
-replication's log-likelihood is its own sparse dot counts @ ln p[observed].
+floor, so a re-associated sum would move the estimates.  Every row of
+log-probabilities is therefore computed exactly as a lone evaluation would
+be.  The bookkeeping is array steps: per kernel chunk, one fancy index
+gathers every requested row's observed entries from a padded (samples x
+distinct outcomes) matrix of observed n, and one row minimum checks them
+against the probability floor.  Each replication's log-likelihood stays its
+own 1-D dot counts @ ln p[observed] over its first k gathered entries, the
+same product on the same contiguous values as a lone evaluation.
 
 Reproducibility: replication streams are derived from the root seed by
 counter (one 64-bit sub-seed per replication index), so identical inputs
@@ -107,12 +112,14 @@ def sample_counts(dist: PhotonDistribution, shots: int, seed: int) -> CountSampl
     p = dist.probs / dist.probs.sum()
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    u = rng.random(shots)
-    outcomes = np.searchsorted(cdf, u, side="right")
-    values, mult = np.unique(outcomes, return_counts=True)
+    u = np.sort(np.random.default_rng(seed).random(shots))
+    # Draw u has outcome n = #{j : cdf[j] <= u}, so the draws with outcome
+    # <= n are exactly those below cdf[n] (every draw lies below the final
+    # 1.0): a search of cdf in the sorted draws gives the cumulative counts.
+    mult = np.diff(np.searchsorted(u, cdf), prepend=0)
+    values = np.flatnonzero(mult)
     return CountSample(
-        counts={int(v): int(m) for v, m in zip(values, mult)},
+        counts=dict(zip(values.tolist(), mult[values].tolist())),
         shots=shots,
         seed=seed,
     )
@@ -128,9 +135,16 @@ class _Likelihoods:
     """Fixed-support log-likelihoods of several count samples, row-batched.
 
     Sample r is scored over its own support, max(n_support, largest observed
-    n).  A call computes each distinct (support, epsilon) row of
-    log-probabilities once, then takes each sample's own sparse dot
-    counts @ ln p[observed].
+    n).  `outcomes` holds every sample's observed n, padded to one width
+    with the sample's own first outcome, so padding never changes a row's
+    minimum.  A call computes each distinct (support, epsilon) row of
+    log-probabilities once; per kernel chunk it gathers every requested
+    row's observed entries in one step and checks them against the
+    probability floor in one step.  Each value is then the 1-D dot
+    counts @ row[:k] over the row's first k gathered entries, k the
+    sample's number of distinct outcomes: the same contiguous values a lone
+    evaluation multiplies, hence the same bits.  A product over the padded
+    rows would re-associate those sums.
     """
 
     def __init__(
@@ -140,8 +154,14 @@ class _Likelihoods:
         samples: Sequence[Tuple[np.ndarray, np.ndarray]],
         n_support: int,
     ) -> None:
-        self.spec, self.kind, self.samples = spec, kind, samples
-        self.supports = np.array([max(n_support, int(ns[-1])) for ns, _ in samples])
+        self.spec, self.kind = spec, kind
+        self.counts = [cs for _, cs in samples]
+        self.widths = [len(ns) for ns, _ in samples]
+        self.outcomes = np.empty((len(samples), max(self.widths)), dtype=np.intp)
+        for r, (ns, _) in enumerate(samples):
+            self.outcomes[r] = ns[0]
+            self.outcomes[r, :len(ns)] = ns
+        self.supports = np.maximum(self.outcomes.max(axis=1), n_support)
         self.failures: Dict[int, OutOfSupportError] = {}
 
     def __call__(self, eps: np.ndarray, reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -152,7 +172,7 @@ class _Likelihoods:
         self.failures, which keeps each sample's earliest failing row.
         """
         values = np.full(len(reps), np.nan)
-        errors: List[Optional[OutOfSupportError]] = [None] * len(reps)
+        floored_n = np.full(len(reps), -1)  # an observed n below the floor, else -1
         supports = self.supports[reps]
         for n in np.unique(supports).tolist():
             rows = np.flatnonzero(supports == n)
@@ -162,20 +182,22 @@ class _Likelihoods:
                 lp = _fixed_support_log_prob_rows(
                     self.spec, self.kind, uniq[start:start + chunk], n)
                 here = (which >= start) & (which < start + chunk)
-                for i, u in zip(rows[here].tolist(), (which[here] - start).tolist()):
-                    ns, cs = self.samples[reps[i]]
-                    lp_obs = lp[u, ns]
-                    if lp_obs.min() < _LOG_SUPPORT_FLOOR:
-                        errors[i] = OutOfSupportError(
-                            f"observed outcome n={int(ns[int(np.argmin(lp_obs))])} has "
-                            f"probability below 1e-300 at epsilon={float(eps[i])}"
-                        )
-                    else:
-                        values[i] = float(cs @ lp_obs)
-        for i, err in enumerate(errors):
-            if err is not None:
-                self.failures.setdefault(int(reps[i]), err)
-        return values, np.array([err is None for err in errors], dtype=bool)
+                idx = rows[here]
+                owners = reps[idx]
+                obs = self.outcomes[owners]
+                lp_obs = lp[(which[here] - start)[:, None], obs]
+                floored = lp_obs.min(axis=1) < _LOG_SUPPORT_FLOOR
+                floored_n[idx[floored]] = obs[floored, np.argmin(lp_obs[floored], axis=1)]
+                values[idx[~floored]] = [
+                    np.dot(self.counts[r], row[:self.widths[r]])
+                    for r, row, low in zip(owners.tolist(), lp_obs, floored.tolist())
+                    if not low]
+        for i in np.flatnonzero(floored_n >= 0).tolist():
+            self.failures.setdefault(int(reps[i]), OutOfSupportError(
+                f"observed outcome n={int(floored_n[i])} has "
+                f"probability below 1e-300 at epsilon={float(eps[i])}"
+            ))
+        return values, floored_n < 0
 
 
 def _golden_section(
@@ -189,7 +211,7 @@ def _golden_section(
     # Divergent epsilons form a half-line below some threshold, and every
     # iterate lies in [a, b], so the whole search is normalizable iff a is.
     _check_normalizable(loglik.spec, DeformationParams(loglik.kind, a))
-    count = len(loglik.samples)
+    count = len(loglik.counts)
     alive = np.ones(count, dtype=bool)
 
     def shared(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -374,8 +374,8 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
             continue
         ln_total = float(np.logaddexp(_logsumexp(trimmed), ln_tail))
         if math.exp(ln_tail - ln_total) <= tol:
-            return _finalize(lnw, np.arange(last + 1) * step, trimmed, ln_tail, ln_total,
-                             tol, params, spec)
+            return _finalize(lnw, range(0, (last + 1) * step, step), trimmed, ln_tail,
+                             ln_total, tol, params, spec)
         if n_max >= HARD_CAP:
             raise DivergenceError(
                 f"tail tolerance {tol} not reached at hard cap n_max = {HARD_CAP} "
@@ -395,7 +395,7 @@ build_distribution.cache_clear = _clear_kept
 
 def _finalize(
     lnw: np.ndarray,
-    support: np.ndarray,
+    support: range,
     lnw_sup: np.ndarray,
     ln_tail: float,
     ln_total: float,
@@ -413,7 +413,7 @@ def _finalize(
     suffix = np.cumsum(np.append(math.exp(ln_tail - ln_total), q[::-1]))[::-1][1:]
     ok = np.nonzero(suffix <= tol)[0]
     cut = int(ok[0]) if ok.size else len(lnw_sup) - 1
-    n_max = int(support[cut])
+    n_max = support[cut]
     tail_bound = float(suffix[cut])
 
     log_probs = lnw[: n_max + 1] - ln_total

@@ -163,6 +163,30 @@ class TestBenchmarkCommand:
         bench = serialize.benchmark_from_dict(doc)
         assert bench.ratio == doc["ratio"]
 
+    def test_warning_is_one_plain_stderr_line(self, capsys):
+        # Python's warning format would print the path of cli.py and the
+        # echoed source line.
+        args = ["benchmark", "--family", "thermal", "--n-mean", "4", "--kind", "M",
+                "--epsilon", "5e-3", "--shots", "1000", "--reps", "20", "--seed", "7"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err == ("qdeform: warning: fewer than 50 replications: "
+                       "variance estimate will be noisy\n")
+        spec, kind = qdeform.ThermalSpec.from_mean_photon(4.0), qdeform.DeformationKind.M
+        with pytest.warns(RuntimeWarning, match="fewer than 50"):
+            bench = qdeform.crb_benchmark(spec, kind, 5e-3, 1000, 20, 7)
+        doc = serialize.benchmark_to_dict(bench, spec, kind)
+        assert out == serialize.to_json(doc).rstrip("\n") + "\n"
+
+    def test_warning_precedes_the_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "benchmark", "--family", "coherent",
+                                 "--alpha-sq", "2", "--kind", "M", "--epsilon", "0.6",
+                                 "--shots", "1000", "--reps", "20", "--seed", "7")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("qdeform: warning: fewer than 50 replications")
+        assert lines[1].startswith("qdeform: domain error:") and len(lines) == 2
+
     def test_non_estimable_sentinel(self, capsys):
         code, out, _ = run_cli(capsys, "benchmark", "--family", "coherent",
                                "--alpha-sq", "5", "--kind", "P",

@@ -2,9 +2,11 @@
 the full-scale Cramer-Rao run lives in the acceptance suite)."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdeform import estimation, montecarlo, states
 from qdeform.algebra import DeformationKind, DeformationParams
@@ -16,8 +18,9 @@ from qdeform.montecarlo import (
     mle_epsilon,
     sample_counts,
 )
-from qdeform.oracles import log_likelihood_gradient
+from qdeform.oracles import fixed_support_log_probs, log_likelihood_gradient
 from qdeform.states import (
+    FAMILIES,
     CoherentSpec,
     PhotonDistribution,
     ThermalSpec,
@@ -262,3 +265,85 @@ class TestBracketHoldsTheTruth:
                               replications=50, seed=1)
         assert bench.estimable and bench.failed == 0
         assert bench.empirical_var > 0.0 and bench.ratio > 0.1
+
+
+# Properties.  derandomize keeps tier-1 deterministic; database=None keeps
+# hypothesis from writing into the tree.
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+def _lone_likelihood(spec, kind, eps, ns, cs, n_support):
+    """(value, None) or (None, message) of one sample at one epsilon."""
+    lp = fixed_support_log_probs(spec, params(kind, eps), max(n_support, int(ns[-1])))[ns]
+    if lp.min() < math.log(1e-300):
+        return None, (f"observed outcome n={int(ns[int(np.argmin(lp))])} has "
+                      f"probability below 1e-300 at epsilon={eps}")
+    return float(cs @ lp), None
+
+
+class TestLockstepBookkeeping:
+    """_Likelihoods gathers and floor-checks every row of a kernel chunk at
+    once, but each value must still be the lone evaluation's dot, bit for bit."""
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(FAMILIES)), st.sampled_from([M, P]),
+           st.floats(0.5, 8.0),
+           st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 0.1)), min_size=1, max_size=4),
+           st.integers(5, 60),
+           st.lists(st.dictionaries(st.integers(0, 80), st.integers(1, 40),
+                                    min_size=1, max_size=30), max_size=4),
+           st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                    min_size=1, max_size=40),
+           st.sampled_from([1 << 18, 200]))
+    def test_values_and_failures_equal_lone_evaluations(
+            self, family, kind, n, grid, n_support, drawn, picks, budget):
+        spec = FAMILIES[family].from_mean_photon(n)
+        beyond = {0: 3, n_support + 7: 2}  # largest outcome past n_support
+        floored = {1: 2, 8000: 1}  # p_8000 < 1e-300 (cat: p_1 = 0 already)
+        samples = [montecarlo._counts_arrays(CountSample(c, sum(c.values()), 0))
+                   for c in [beyond, floored] + drawn]
+        eps = np.array([grid[a % len(grid)] for a, _ in picks] + [grid[0]] * 2)
+        reps = np.array([b % len(samples) for _, b in picks] + [0, 1])
+        with mock.patch.object(montecarlo, "_ROW_BUDGET", budget):  # 200: many chunks
+            loglik = montecarlo._Likelihoods(spec, kind, samples, n_support)
+            values, ok = loglik(eps, reps)
+            failures = {}
+            for i, (e, r) in enumerate(zip(eps.tolist(), reps.tolist())):
+                value, message = _lone_likelihood(spec, kind, e, *samples[r], n_support)
+                assert ok[i] == (message is None)
+                if message is None:
+                    assert values[i].tobytes() == np.float64(value).tobytes()
+                else:
+                    failures.setdefault(r, message)
+            assert 1 in failures
+            assert {r: str(err) for r, err in loglik.failures.items()} == failures
+            # A later call keeps each sample's first failure.
+            loglik(eps[::-1], reps[::-1])
+            assert {r: str(err) for r, err in loglik.failures.items()} == failures
+
+
+def _unique_counts(dist, shots, seed):
+    """The inverse-CDF sampler counted by np.unique over per-draw outcomes."""
+    p = dist.probs / dist.probs.sum()
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    u = np.random.default_rng(seed).random(shots)
+    values, mult = np.unique(np.searchsorted(cdf, u, side="right"), return_counts=True)
+    return {int(v): int(m) for v, m in zip(values, mult)}
+
+
+class TestSampleCounts:
+    @PROPERTY
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1,
+                    max_size=120).filter(lambda p: sum(p) > 0.0),
+           st.integers(1, 5000), st.integers(0, 2**64 - 1))
+    @example([0.1, 0.4, 0.1, 0.0], 2000, 3)  # cdf[-2] = 1 + 2^-52 > cdf[-1] = 1
+    def test_counts_equal_a_unique_based_reference(self, probs, shots, seed):
+        # sample_counts reads probs only.
+        dist = PhotonDistribution(probs=np.array(probs), log_probs=np.zeros(len(probs)),
+                                  n_max=len(probs) - 1, tail_bound=0.0,
+                                  params=params(M, 0.0), spec=CoherentSpec(1.0))
+        sample = sample_counts(dist, shots, seed)
+        assert list(sample.counts.items()) == list(_unique_counts(dist, shots, seed).items())
+        assert all(type(n) is int and type(c) is int for n, c in sample.counts.items())
+        assert sum(sample.counts.values()) == shots
