@@ -9,7 +9,6 @@ from .algebra import (
 )
 from .errors import (
     BenchmarkError,
-    DerivativeInstabilityError,
     DivergenceError,
     DomainError,
     OutOfSupportError,
@@ -28,7 +27,6 @@ from .montecarlo import (
     CrbBenchmark,
     MleResult,
     crb_benchmark,
-    log_likelihood,
     mle_epsilon,
     sample_counts,
 )
@@ -69,12 +67,10 @@ __all__ = [
     "MleResult",
     "CrbBenchmark",
     "sample_counts",
-    "log_likelihood",
     "mle_epsilon",
     "crb_benchmark",
     "DomainError",
     "DivergenceError",
-    "DerivativeInstabilityError",
     "OutOfSupportError",
     "BenchmarkError",
     "__version__",

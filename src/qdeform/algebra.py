@@ -125,22 +125,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Levels:
-    """ln [j], gamma_j = [j] and ln Delta_j for j = 0..n of one (kind, epsilon).
+    """gamma_j = [j] and ln Delta_j for j = 0..n of one (kind, epsilon).
 
     Only the last epsilon asked about is kept (_levels), since between the
     Newton iterates of a calibrated point only the intensity changes.  Each
-    vector is grown on demand by its new segment only: ln [j] from a start
-    column of _log_q_rows, gamma by exponentiating that segment, ln Delta by
-    continuing its cumulative sum from the last entry.  Every entry is
-    elementwise or a sequential sum, so each prefix has the bits of a fresh
-    evaluation.  The arrays are read-only; the public functions return
+    vector is grown on demand by its new segment only, from the ln [j]
+    segment at a start column of _log_q_rows: gamma by exponentiating it,
+    ln Delta by continuing its cumulative sum from the last entry.  Every
+    entry is elementwise or a sequential sum, so each prefix has the bits
+    of a fresh evaluation.  The arrays are read-only; the public functions return
     copies.  Callers in two threads can at worst compute a segment twice:
     every array stored holds the same values.
     """
 
     def __init__(self, kind: DeformationKind, eps: float) -> None:
         self.kind, self.eps, self.key = kind, eps, (kind, eps.hex())
-        self._log_q = _frozen(np.full(1, -np.inf))
         self._gamma = _frozen(np.zeros(1))
         self._log_delta = _frozen(np.zeros(1))
 
@@ -153,9 +152,6 @@ class _Levels:
             have = _frozen(np.concatenate((have, extend(have, segment))))
             setattr(self, name, have)
         return have[: n_max + 1]
-
-    def log_q(self, n_max: int) -> np.ndarray:
-        return self._grow("_log_q", n_max, lambda have, lq: lq)
 
     def gamma(self, n_max: int) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -195,7 +191,7 @@ def _checked_levels(params: DeformationParams, n_max: int) -> _Levels:
 
 def log_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """ln [j] for j = 0..n_max (index 0 holds -inf since [0] = 0)."""
-    return _checked_levels(params, n_max).log_q(n_max).copy()
+    return _log_q_rows(params.kind, [params.epsilon], n_max)[0]
 
 
 def log_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:

@@ -85,16 +85,6 @@ def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True, choices=list(FAMILIES))
-    parser.add_argument("--alpha-sq", type=float, default=None,
-                        help="|alpha|^2 for coherent/cat probes")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="inverse temperature for thermal probes")
-    parser.add_argument("--n-mean", type=float, default=None,
-                        help="thermal mean photon number (alternative to --beta)")
-
-
 def _flag(field: str) -> str:
     return "--" + field.replace("_", "-")
 
@@ -102,6 +92,19 @@ def _flag(field: str) -> str:
 def _takes_n_mean(cls) -> bool:
     """A family whose spec exposes n_mean (thermal) may be given by it."""
     return hasattr(cls, "n_mean")
+
+
+def _add_spec_flags(parser: argparse.ArgumentParser, classes: Iterable[type]) -> None:
+    """Each family's field flag, and --n-mean where a family takes it; a
+    flag that several families share is added once."""
+    users: Dict[str, List[str]] = {}
+    for cls in classes:
+        users.setdefault(_flag(cls.field), []).append(cls.family)
+        if _takes_n_mean(cls):
+            users.setdefault("--n-mean", []).append(cls.family)
+    for flag, families in users.items():
+        parser.add_argument(flag, type=float, default=None,
+                            help=f"for {'/'.join(families)} probes")
 
 
 def _spec_from_args(parser: _Parser, args: argparse.Namespace) -> ProbeSpec:
@@ -138,14 +141,13 @@ def build_parser() -> _Parser:
     state_sub = p_state.add_subparsers(dest="family", required=True)
     for family, cls in FAMILIES.items():
         sp = state_sub.add_parser(family)
-        sp.add_argument(_flag(cls.field), type=float, default=None)
-        if _takes_n_mean(cls):
-            sp.add_argument("--n-mean", type=float, default=None)
+        _add_spec_flags(sp, [cls])
         _add_common(sp)
 
     p_fisher = sub.add_parser("fisher", help="Fisher/QFI/QSNR report at one point")
     p_fisher.set_defaults(run=_cmd_fisher)
-    _add_family_flags(p_fisher)
+    p_fisher.add_argument("--family", required=True, choices=list(FAMILIES))
+    _add_spec_flags(p_fisher, FAMILIES.values())
     _add_common(p_fisher)
     p_fisher.add_argument("--hold", choices=["mean-photon", "intensity"],
                           default="mean-photon",
@@ -167,7 +169,8 @@ def build_parser() -> _Parser:
 
     p_bench = sub.add_parser("benchmark", help="Monte Carlo Cramer-Rao benchmark")
     p_bench.set_defaults(run=_cmd_benchmark)
-    _add_family_flags(p_bench)
+    p_bench.add_argument("--family", required=True, choices=list(FAMILIES))
+    _add_spec_flags(p_bench, FAMILIES.values())
     _add_common(p_bench)
     p_bench.add_argument("--shots", required=True, type=int)
     p_bench.add_argument("--reps", required=True, type=int)

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: domain errors exit 2, divergence and
-benchmark errors exit 3.  DerivativeInstabilityError comes only from the
-finite-difference validation check, which no CLI path runs.
+benchmark errors exit 3.
 """
 
 
@@ -12,10 +11,6 @@ class DomainError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A state sum fails to converge (non-normalizable configuration)."""
-
-
-class DerivativeInstabilityError(RuntimeError):
-    """Finite-difference stencils at step h and h/2 disagree beyond tolerance."""
 
 
 class OutOfSupportError(RuntimeError):

@@ -286,5 +286,5 @@ def estimation_report(
         qfi=qfi,
         qsnr=q,
         mean_photon=mean_photon(dist),
-        m_delta_coeff=math.inf if q == 0.0 else 9.0 / q,
+        m_delta_coeff=measurements_needed(1.0, q),
     )

@@ -54,7 +54,6 @@ __all__ = [
     "MleResult",
     "CrbBenchmark",
     "sample_counts",
-    "log_likelihood",
     "mle_epsilon",
     "crb_benchmark",
 ]
@@ -288,30 +287,12 @@ def _ordered_bracket(bracket: Tuple[float, float]) -> Tuple[float, float]:
     return a, b
 
 
-def log_likelihood(
-    sample: CountSample,
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    epsilon: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Sum of counts[n] ln p_n(epsilon), with support sized to the sample."""
-    ns, cs = _counts_arrays(sample)
-    dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    loglik = _Likelihoods(spec, kind, [(ns, cs)], dist.n_max)
-    (value,), (ok,) = loglik(np.array([float(epsilon)]), np.array([0]))
-    if not ok:
-        raise loglik.failures[0]
-    return float(value)
-
-
 def mle_epsilon(
     sample: CountSample,
     spec: ProbeSpec,
     kind: DeformationKind,
     bracket: Tuple[float, float],
     tol: float = DEFAULT_TOL,
-    n_support: Optional[int] = None,
 ) -> MleResult:
     """Golden-section maximization of the log-likelihood over a bracket.
 
@@ -321,9 +302,8 @@ def mle_epsilon(
     objective looks non-unimodal; the best point found is still returned.
     """
     a, b = _ordered_bracket(bracket)
-    if n_support is None:
-        n_support = _bracket_support(spec, kind, a, b, tol)
-    loglik = _Likelihoods(spec, kind, [_counts_arrays(sample)], n_support)
+    loglik = _Likelihoods(spec, kind, [_counts_arrays(sample)],
+                          _bracket_support(spec, kind, a, b, tol))
     (result,) = _golden_section(loglik, a, b)
     if result is None:
         raise loglik.failures[0]

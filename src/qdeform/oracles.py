@@ -6,10 +6,13 @@ the tests do.
                                  second route to H = F
   fixed_support_log_probs        ln p_n over a given support at one epsilon,
                                  for stencils that must share their outcomes
+  log_likelihood                 a sample's log-likelihood at one epsilon, the
+                                 objective the lockstep MLE maximizes
   log_likelihood_gradient        d/d eps of a sample's log-likelihood, which
                                  vanishes at the maximum-likelihood estimate
   fd_information                 F and H from central finite differences of
-                                 the probabilities, against the analytic score
+                                 the probabilities, against the analytic score;
+                                 DerivativeInstabilityError when they are noise
   g_product                      the finite product prod (1 - a b^k), whose
                                  closed Delta_n forms lose digits near eps = 0
   delta_series, gamma_series     leading small-epsilon expansions of Delta_n
@@ -26,9 +29,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
-from .errors import DerivativeInstabilityError, DomainError, OutOfSupportError
+from .errors import DomainError, OutOfSupportError
 from .estimation import PROB_FLOOR, _analytic_score, calibrate_intensity
-from .montecarlo import CountSample, _counts_arrays
+from .montecarlo import _LOG_SUPPORT_FLOOR, CountSample, _counts_arrays
 from .states import (
     DEFAULT_TOL,
     CatSpec,
@@ -45,13 +48,19 @@ from .states import (
 __all__ = [
     "qfi_pure",
     "fixed_support_log_probs",
+    "log_likelihood",
     "log_likelihood_gradient",
     "fd_information",
     "g_product",
     "delta_series",
     "gamma_series",
     "cat_normalization_crosscheck",
+    "DerivativeInstabilityError",
 ]
+
+
+class DerivativeInstabilityError(RuntimeError):
+    """Finite-difference stencils at step h and h/2 disagree beyond tolerance."""
 
 
 def qfi_pure(
@@ -87,6 +96,27 @@ def fixed_support_log_probs(
         raise DomainError("n_support must be >= 0")
     _check_normalizable(spec, params)
     return _fixed_support_log_prob_rows(spec, params.kind, [params.epsilon], n_support)[0]
+
+
+def log_likelihood(
+    sample: CountSample,
+    spec: ProbeSpec,
+    kind: DeformationKind,
+    epsilon: float,
+    tol: float = DEFAULT_TOL,
+) -> float:
+    """Sum of counts[n] ln p_n(epsilon) over the certified support, widened
+    to the largest observed n."""
+    ns, cs = _counts_arrays(sample)
+    params = DeformationParams(kind, epsilon)
+    n_support = max(build_distribution(spec, params, tol).n_max, int(ns[-1]))
+    lp = fixed_support_log_probs(spec, params, n_support)[ns]
+    if lp.min() < _LOG_SUPPORT_FLOOR:
+        raise OutOfSupportError(
+            f"observed outcome n={int(ns[np.argmin(lp)])} has "
+            f"probability below 1e-300 at epsilon={params.epsilon}"
+        )
+    return float(cs @ lp)
 
 
 def log_likelihood_gradient(

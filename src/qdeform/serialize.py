@@ -8,8 +8,7 @@ distribution), so the two encodings cannot disagree.
 Every float in a document passes through one rule, `_finite`: a
 non-finite number becomes None, so JSON is strict (null, never Infinity
 or NaN) and the CSV cell is empty.  `estimable` flags the infinite-CRB
-sentinel, and the `*_from_dict` readers map null back to the sentinels.
-Floats round-trip exactly: shortest-repr decimal in JSON and CSV.
+sentinel.  Floats round-trip exactly: shortest-repr decimal in JSON and CSV.
 """
 
 from __future__ import annotations
@@ -20,23 +19,16 @@ import json
 import math
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .algebra import DeformationKind, DeformationParams
-from .errors import DomainError
+from .algebra import DeformationKind
 from .estimation import EstimationReport
 from .montecarlo import CrbBenchmark
-from .states import FAMILIES, PhotonDistribution, ProbeSpec, _probe, mean_photon
+from .states import PhotonDistribution, ProbeSpec, _probe, mean_photon
 
 __all__ = [
     "spec_to_dict",
-    "spec_from_dict",
     "distribution_to_dict",
-    "distribution_from_dict",
     "report_to_dict",
-    "report_from_dict",
     "benchmark_to_dict",
-    "benchmark_from_dict",
     "sweep_to_dict",
     "distribution_rows",
     "to_json",
@@ -66,14 +58,6 @@ def spec_to_dict(spec: ProbeSpec) -> Dict[str, Any]:
     return {"family": spec.family, field: _finite(getattr(spec, field))}
 
 
-def spec_from_dict(data: Dict[str, Any]) -> ProbeSpec:
-    family = data["family"]
-    if family not in FAMILIES:
-        raise DomainError(f"unknown probe family {family!r}")
-    cls = FAMILIES[family]
-    return cls(**{cls.field: float(data[cls.field])})
-
-
 def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:
     return {
         "type": "photon_distribution",
@@ -88,21 +72,6 @@ def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:
     }
 
 
-def distribution_from_dict(data: Dict[str, Any]) -> PhotonDistribution:
-    probs = np.array(data["probs"], dtype=float)
-    log_probs = np.array(
-        [-math.inf if lp is None else float(lp) for lp in data["log_probs"]]
-    )
-    return PhotonDistribution(
-        probs=probs,
-        log_probs=log_probs,
-        n_max=int(data["n_max"]),
-        tail_bound=float(data["tail_bound"]),
-        params=DeformationParams(DeformationKind(data["kind"]), float(data["epsilon"])),
-        spec=spec_from_dict(data),
-    )
-
-
 def report_to_dict(report: EstimationReport) -> Dict[str, Any]:
     return {
         "type": "estimation_report",
@@ -115,20 +84,6 @@ def report_to_dict(report: EstimationReport) -> Dict[str, Any]:
         "mean_photon": _finite(report.mean_photon),
         "m_delta_coeff": _finite(report.m_delta_coeff),
     }
-
-
-def report_from_dict(data: Dict[str, Any]) -> EstimationReport:
-    coeff = data["m_delta_coeff"]
-    return EstimationReport(
-        spec=spec_from_dict(data),
-        kind=DeformationKind(data["kind"]),
-        epsilon=float(data["epsilon"]),
-        fisher=float(data["fisher"]),
-        qfi=float(data["qfi"]),
-        qsnr=float(data["qsnr"]),
-        mean_photon=float(data["mean_photon"]),
-        m_delta_coeff=math.inf if coeff is None else float(coeff),
-    )
 
 
 def benchmark_to_dict(bench: CrbBenchmark, spec: ProbeSpec,
@@ -148,24 +103,6 @@ def benchmark_to_dict(bench: CrbBenchmark, spec: ProbeSpec,
         "estimable": bench.estimable,
         "failed": bench.failed,
     }
-
-
-def benchmark_from_dict(data: Dict[str, Any]) -> CrbBenchmark:
-    def _num(value, sentinel):
-        return sentinel if value is None else float(value)
-
-    return CrbBenchmark(
-        epsilon_true=float(data["epsilon_true"]),
-        shots=int(data["shots"]),
-        replications=int(data["replications"]),
-        seed=int(data["seed"]),
-        empirical_var=_num(data["empirical_var"], math.nan),
-        crb=_num(data["crb"], math.inf),
-        ratio=_num(data["ratio"], math.nan),
-        bias=_num(data["bias"], math.nan),
-        estimable=bool(data["estimable"]),
-        failed=int(data["failed"]),
-    )
 
 
 def sweep_to_dict(family: str, kind: DeformationKind, calibrated: bool,

@@ -423,7 +423,7 @@ class TestLevelSegments:
 
     @SEGMENTS
     @given(st.sampled_from([M, P]), signed_eps,
-           st.lists(st.tuples(st.sampled_from(["log_q", "gamma", "log_delta"]),
+           st.lists(st.tuples(st.sampled_from(["gamma", "log_delta"]),
                               st.integers(0, 2500)), min_size=1, max_size=8))
     def test_grown_vectors_equal_one_shot_evaluations(self, kind, eps, requests):
         levels = _Levels(kind, eps)

@@ -1,5 +1,5 @@
 """CLI surface tests: subcommands, formats, exit codes, atomic output,
-and JSON round-trips."""
+and documents equal to those of the same call made in process."""
 
 import json
 import math
@@ -13,6 +13,8 @@ import pytest
 import qdeform
 from qdeform import serialize
 from qdeform.cli import main
+
+M, P = qdeform.DeformationKind.M, qdeform.DeformationKind.P
 
 
 def run_cli(capsys, *argv):
@@ -64,10 +66,9 @@ class TestStateCommand:
         code, out, _ = run_cli(capsys, "state", "thermal", "--beta", "0.7",
                                "--kind", "M", "--epsilon", "1e-3")
         assert code == 0
-        doc = json.loads(out)
-        dist = serialize.distribution_from_dict(doc)
-        doc2 = serialize.distribution_to_dict(dist)
-        assert doc == doc2
+        dist = qdeform.build_distribution(qdeform.ThermalSpec(beta=0.7),
+                                          qdeform.DeformationParams(M, 1e-3))
+        assert json.loads(out) == serialize.distribution_to_dict(dist)
 
 
 class TestFisherCommand:
@@ -80,8 +81,8 @@ class TestFisherCommand:
         assert doc["type"] == "estimation_report"
         assert doc["fisher"] == pytest.approx(doc["qfi"], rel=1e-6)
         assert doc["qsnr"] == pytest.approx(1e-6 * doc["qfi"], rel=1e-12)
-        report = serialize.report_from_dict(doc)
-        assert serialize.report_to_dict(report) == doc
+        report = qdeform.estimation_report(qdeform.CoherentSpec(10.0), M, 1e-3)
+        assert doc == serialize.report_to_dict(report)
 
     def test_hold_intensity_flag(self, capsys):
         _, out_mean, _ = run_cli(capsys, "fisher", "--family", "coherent",
@@ -160,8 +161,9 @@ class TestBenchmarkCommand:
         doc = json.loads(out1)
         assert doc["type"] == "crb_benchmark"
         assert doc["estimable"] is True
-        bench = serialize.benchmark_from_dict(doc)
-        assert bench.ratio == doc["ratio"]
+        spec = qdeform.ThermalSpec.from_mean_photon(4.0)
+        bench = qdeform.crb_benchmark(spec, M, 5e-3, 1000, 60, 7)
+        assert doc == serialize.benchmark_to_dict(bench, spec, M)
 
     def test_warning_is_one_plain_stderr_line(self, capsys):
         # Python's warning format would print the path of cli.py and the
@@ -172,7 +174,7 @@ class TestBenchmarkCommand:
         assert code == 0
         assert err == ("qdeform: warning: fewer than 50 replications: "
                        "variance estimate will be noisy\n")
-        spec, kind = qdeform.ThermalSpec.from_mean_photon(4.0), qdeform.DeformationKind.M
+        spec, kind = qdeform.ThermalSpec.from_mean_photon(4.0), M
         with pytest.warns(RuntimeWarning, match="fewer than 50"):
             bench = qdeform.crb_benchmark(spec, kind, 5e-3, 1000, 20, 7)
         doc = serialize.benchmark_to_dict(bench, spec, kind)
@@ -196,8 +198,10 @@ class TestBenchmarkCommand:
         doc = json.loads(out)
         assert doc["crb"] is None
         assert doc["estimable"] is False
-        bench = serialize.benchmark_from_dict(doc)
+        spec = qdeform.CoherentSpec(5.0)
+        bench = qdeform.crb_benchmark(spec, P, 0.0, 100, 60, 1)
         assert math.isinf(bench.crb)
+        assert doc == serialize.benchmark_to_dict(bench, spec, P)
 
     def test_zero_shots_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "benchmark", "--family", "thermal",
@@ -333,12 +337,9 @@ class TestNumericFormatting:
     def test_probs_round_trip_exactly(self, capsys):
         _, out, _ = run_cli(capsys, "state", "coherent", "--alpha-sq", "1.7",
                             "--kind", "P", "--epsilon", "2e-3")
-        doc = json.loads(out)
-        dist = serialize.distribution_from_dict(doc)
-        _, out2, _ = run_cli(capsys, "state", "coherent", "--alpha-sq", "1.7",
-                             "--kind", "P", "--epsilon", "2e-3")
-        assert np.array_equal(dist.probs,
-                              serialize.distribution_from_dict(json.loads(out2)).probs)
+        dist = qdeform.build_distribution(qdeform.CoherentSpec(1.7),
+                                          qdeform.DeformationParams(P, 2e-3))
+        assert np.array_equal(np.array(json.loads(out)["probs"]), dist.probs)
 
 
 def _reject_constant(name):

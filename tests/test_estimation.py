@@ -8,7 +8,7 @@ import pytest
 
 from qdeform import estimation, oracles, states
 from qdeform.algebra import DeformationKind, DeformationParams
-from qdeform.errors import DerivativeInstabilityError, DivergenceError, DomainError
+from qdeform.errors import DivergenceError, DomainError
 from qdeform.estimation import (
     calibrate_intensity,
     classical_fisher,
@@ -17,7 +17,7 @@ from qdeform.estimation import (
     measurements_needed,
     qsnr,
 )
-from qdeform.oracles import fd_information, qfi_pure
+from qdeform.oracles import DerivativeInstabilityError, fd_information, qfi_pure
 from qdeform.states import (
     CatSpec,
     CoherentSpec,
@@ -324,12 +324,14 @@ class TestReport:
         assert report.qsnr == pytest.approx(report.epsilon**2 * report.qfi, rel=1e-14)
         assert report.fisher == pytest.approx(report.qfi, rel=1e-6)
         assert report.m_delta_coeff == pytest.approx(9.0 / report.qsnr, rel=1e-14)
+        assert report.m_delta_coeff == measurements_needed(1.0, report.qsnr)
         assert report.mean_photon > 0
 
     def test_report_frozen_family_sentinel(self):
         report = estimation_report(CoherentSpec(3.0), P, 0.0)
         assert report.qsnr == 0.0
         assert math.isinf(report.m_delta_coeff)
+        assert report.m_delta_coeff == measurements_needed(1.0, report.qsnr)
 
     def test_two_parametrizations_differ(self):
         # The raw-intensity family carries the energy signal as well, so its

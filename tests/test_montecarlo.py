@@ -14,11 +14,10 @@ from qdeform.errors import DomainError
 from qdeform.montecarlo import (
     CountSample,
     crb_benchmark,
-    log_likelihood,
     mle_epsilon,
     sample_counts,
 )
-from qdeform.oracles import fixed_support_log_probs, log_likelihood_gradient
+from qdeform.oracles import fixed_support_log_probs, log_likelihood, log_likelihood_gradient
 from qdeform.states import (
     FAMILIES,
     CoherentSpec,
