@@ -224,9 +224,11 @@ _SERIES_EPS = 1e-3
 def _k_even_sum(kind: DeformationKind, w):
     """sum_k c_2k w^(k-1), by Horner's rule."""
     coeffs = _K_EVEN[kind]
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * w + c
+    acc = coeffs[-1] * w  # one new array for an array w, updated in place
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= w
+        acc += c
     return acc
 
 

@@ -29,7 +29,10 @@ Two parametrizations of the epsilon-family are exposed via `hold`:
       explores, hence what the Cramer-Rao benchmark must use.
 
 Every quantity here comes from the analytic score, summed over the levels
-with p_n above PROB_FLOOR.  The finite-difference check of that score, and
+with p_n above PROB_FLOOR.  When every level passes, as it does for thermal
+probes, the scores are taken whole, as views; the centering and the
+covariances run in place in one work buffer, with the bits of the plain
+expressions.  The finite-difference check of that score, and
 the other validation-only helpers, live outside the production modules,
 which never import them.
 """
@@ -92,26 +95,42 @@ class EstimationReport:
 
 
 def _masked(dist: PhotonDistribution):
+    """(mask, pm, n): the levels with p_n above PROB_FLOOR, their renormalized
+    probabilities and their photon numbers.
+
+    Callers select the same levels of other vectors with vector[mask].  When
+    every level passes, as it does for thermal probes, the mask is the full
+    slice, so that selection is a view and pm and n hold the bits of the
+    copies a boolean mask would make.  pm and n are new arrays either way.
+    """
     p = dist.probs
     mask = p > PROB_FLOOR
+    n = np.arange(dist.n_max + 1, dtype=float)
+    if mask.all():
+        return slice(None), p / p.sum(), n
     pm = p[mask]
-    pm = pm / pm.sum()
-    n = np.arange(dist.n_max + 1, dtype=float)[mask]
-    return mask, pm, n
+    pm /= pm.sum()
+    return mask, pm, n[mask]
 
 
 def _score_variance(pm: np.ndarray, s: np.ndarray) -> float:
-    sc = s - float(pm @ s)
+    """Var_pm[s], overwriting s (every caller hands over a new score)."""
+    s -= float(pm @ s)
     # dp_n = p_n * sc_n must sum to zero identically; guard the assembly.
-    resid = abs(float(pm @ sc))
-    scale = float(pm @ np.abs(sc))
+    resid = abs(float(pm @ s))
+    np.abs(s, out=s)
+    scale = float(pm @ s)
     if resid > 1e-10 * max(1.0, scale):
         raise RuntimeError(f"normalization-derivative identity violated: {resid}")
-    return float(pm @ (sc * sc))
+    s *= s  # |sc|^2 has the bits of sc^2
+    return float(pm @ s)
 
 
 def _analytic_score(dist: PhotonDistribution, hold: str):
-    """Centered epsilon-score on the masked support, per the hold convention."""
+    """Centered epsilon-score on the masked support, per the hold convention.
+
+    Returns (pm, s) with s a new array that the caller may overwrite.
+    """
     d = dist.spec.eps_score(dist.params, dist.n_max)
     mask, pm, n = _masked(dist)
     dm = d[mask]
@@ -120,16 +139,19 @@ def _analytic_score(dist: PhotonDistribution, hold: str):
     if hold != "mean_photon":
         raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
     tm = dist.spec.intensity_score(dist.params, dist.n_max)[mask]
-    nc = n - float(pm @ n)
-    dc = dm - float(pm @ dm)
-    tc = tm - float(pm @ tm)
-    cov_nd = float(pm @ (nc * dc))
-    cov_nt = float(pm @ (nc * tc))
+    n -= float(pm @ n)
+    work = np.subtract(dm, float(pm @ dm))
+    work *= n
+    cov_nd = float(pm @ work)
+    np.subtract(tm, float(pm @ tm), out=work)
+    work *= n
+    cov_nt = float(pm @ work)
     if abs(cov_nt) < 1e-290:
         # Frozen family (e.g. near-vacuum): no intensity response to cancel.
         return pm, dm
-    lam = cov_nd / cov_nt
-    return pm, dm - lam * tm
+    tm *= cov_nd / cov_nt
+    dm -= tm
+    return pm, dm
 
 
 def calibrate_intensity(
@@ -173,8 +195,12 @@ def calibrate_intensity(
         mask, pm, n = _masked(dist)
         theta = getattr(current, field)
         x = math.log(theta)
-        u = theta * current.intensity_score(params, dist.n_max)[mask]  # d ln w_n / d x
-        slope = float(pm @ ((n - float(pm @ n)) * (u - float(pm @ u))))  # d mean / d x
+        u = current.intensity_score(params, dist.n_max)[mask]
+        u *= theta  # d ln w_n / d x
+        u -= float(pm @ u)
+        n -= float(pm @ n)
+        u *= n
+        slope = float(pm @ u)  # d mean / d x = Cov[n, u]
         if not (math.isfinite(slope) and slope != 0.0):
             raise DivergenceError(
                 f"intensity calibration stalled: flat mean response at {field} = {theta}"

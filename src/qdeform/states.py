@@ -15,6 +15,13 @@ the ratio sequence is non-increasing, which holds for every normalizable
 configuration of these families), the omitted mass is bounded by the
 geometric majorant w_last r/(1-r).  Distributions are normalized against
 the truncated sum plus that certified tail, so sum(probs) = 1 - tail_bound.
+The support is then cut back to the smallest n_max whose dropped mass
+meets tol: the dropped masses are one cumulative sum taken from the end,
+which never decreases, so the cut is a binary search in it.
+
+A calibrated point builds supports of up to 10^5 levels several times, so
+each pass over a support runs in place in one buffer, without index arrays
+or throwaway copies; every result has the bits of the plain expressions.
 
 Non-normalizable corners raise DivergenceError instead of looping: the M
 deformation with epsilon < 0 has a bounded spectrum (gamma_n saturates at
@@ -123,19 +130,23 @@ class _AlphaSqProbe(_Probe):
         return self.alpha_sq
 
     def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
+        lnw = np.arange(n_max + 1, dtype=float)
+        lnw *= math.log(self.alpha_sq)
         if len(eps) == 1:
-            log_delta = _levels(kind, eps[0]).log_delta(n_max)[None, :]
-        else:
-            lq = _log_q_rows(kind, eps, n_max)
-            log_delta = np.zeros_like(lq)
-            log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
-        return np.arange(n_max + 1, dtype=float) * math.log(self.alpha_sq) - log_delta
+            lnw -= _levels(kind, eps[0]).log_delta(n_max)
+            return lnw[None, :]
+        lq = _log_q_rows(kind, eps, n_max)
+        log_delta = np.zeros_like(lq)
+        log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
+        return lnw - log_delta
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
         return -dlog_delta_values(params, n_max)
 
     def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
-        return np.arange(n_max + 1, dtype=float) / self.alpha_sq
+        n = np.arange(n_max + 1, dtype=float)
+        n /= self.alpha_sq
+        return n
 
 
 @dataclass(frozen=True)
@@ -150,6 +161,13 @@ class CoherentSpec(_AlphaSqProbe):
         if params.kind is DeformationKind.M:
             return x - 0.5 * eps * x * x
         return x - 0.5 * eps * eps * (x * x + x**3 / 3.0)
+
+
+def _level_pair_sums(g: np.ndarray) -> np.ndarray:
+    """gamma_{n+1} + gamma_n - 1 along the last axis, in one new buffer."""
+    s = np.add(g[..., 1:], g[..., :-1])
+    s -= 1.0
+    return s
 
 
 @dataclass(frozen=True)
@@ -187,18 +205,25 @@ class ThermalSpec(_Probe):
             if len(eps) == 1:
                 g = _levels(kind, eps[0]).gamma(n_max + 1)[None, :]
             else:
-                g = np.exp(_log_q_rows(kind, eps, n_max + 1))
-            return -(self.beta / 2.0) * (g[:, 1:] + g[:, :-1] - 1.0)
+                g = _log_q_rows(kind, eps, n_max + 1)
+                np.exp(g, out=g)
+            lnw = _level_pair_sums(g)
+            lnw *= -(self.beta / 2.0)
+        return lnw
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
         dg = dgamma_values(params, n_max + 1)
         with np.errstate(invalid="ignore"):
-            return -(self.beta / 2.0) * (dg[1:] + dg[:-1])
+            s = np.add(dg[1:], dg[:-1])
+            s *= -(self.beta / 2.0)
+        return s
 
     def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
         g = _levels(params.kind, params.epsilon).gamma(n_max + 1)
         with np.errstate(invalid="ignore"):
-            return -(g[1:] + g[:-1] - 1.0) / 2.0
+            s = _level_pair_sums(g)
+            s /= -2.0
+        return s
 
     def mean_expansion(self, params: DeformationParams, regime: str) -> float:
         eps, n_t = params.epsilon, self.n_mean
@@ -274,7 +299,10 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     at_max = a == a_max
     m = np.sum(at_max, axis=-1, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a - a_max)), axis=-1, keepdims=True)
+        e = a - a_max  # one buffer: the maxima are set to e^-inf, the rest exponentiated
+        np.copyto(e, -np.inf, where=at_max)
+        np.exp(e, out=e)
+        s = np.sum(e, axis=-1, keepdims=True)
         return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
 
 
@@ -354,9 +382,10 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
         lnw_sup = lnw[::step]
         peak = float(np.max(lnw_sup))
         # Trim underflowed tail entries before ratio analysis, keeping the
-        # two support points that _certify needs for one ratio.
-        keep = np.nonzero(lnw_sup > peak - _UNDERFLOW_LOG)[0]
-        last = max(int(keep[-1]), 1)
+        # two support points that _certify needs for one ratio.  The peak
+        # itself passes, so the reversed mask has a first True.
+        above = lnw_sup > peak - _UNDERFLOW_LOG
+        last = max(len(above) - 1 - int(np.argmax(above[::-1])), 1)
         trimmed = lnw_sup[: last + 1]
         try:
             ln_tail = _certify(trimmed)
@@ -404,17 +433,27 @@ def _finalize(
     spec: ProbeSpec,
 ) -> PhotonDistribution:
     """Trim the certified support down to the smallest n_max meeting tol."""
-    # q = normalized support weights; suffix[i] = their mass strictly after
-    # position i, plus the certified beyond-support tail.  The trimmed
-    # support lies within _UNDERFLOW_LOG of the peak, so the sum can run in
-    # the linear domain, and q up to the cut gives the probabilities.
+    # q = normalized support weights.  acc[k] = the certified beyond-support
+    # tail plus the last k of q, summed from the end, so acc[k] is the mass
+    # strictly after position len(q) - 1 - k.  The trimmed support lies
+    # within _UNDERFLOW_LOG of the peak, so the sums run in the linear
+    # domain, and q up to the cut gives the probabilities.  Adding
+    # non-negative floats never decreases a rounded sum, so acc is sorted
+    # and the positions meeting tol are a run at its start: the cut is the
+    # support position of the last acc[k] <= tol (the last position when
+    # none is).
+    size = len(lnw_sup)
+    q = np.subtract(lnw_sup, ln_total)
     with np.errstate(under="ignore"):
-        q = np.exp(lnw_sup - ln_total)
-    suffix = np.cumsum(np.append(math.exp(ln_tail - ln_total), q[::-1]))[::-1][1:]
-    ok = np.nonzero(suffix <= tol)[0]
-    cut = int(ok[0]) if ok.size else len(lnw_sup) - 1
+        np.exp(q, out=q)
+    acc = np.empty(size + 1)
+    acc[0] = math.exp(ln_tail - ln_total)
+    acc[1:] = q[::-1]
+    np.cumsum(acc, out=acc)
+    met = int(np.searchsorted(acc[:size], tol, side="right"))
+    cut = size - met if met else size - 1
     n_max = support[cut]
-    tail_bound = float(suffix[cut])
+    tail_bound = float(acc[size - 1 - cut])
 
     log_probs = lnw[: n_max + 1] - ln_total
     probs = np.zeros(n_max + 1)
