@@ -50,6 +50,7 @@ from .states import (
     DEFAULT_TOL,
     PhotonDistribution,
     ProbeSpec,
+    _dot,
     _probe,
     build_distribution,
     mean_photon,
@@ -115,15 +116,15 @@ def _masked(dist: PhotonDistribution):
 
 def _score_variance(pm: np.ndarray, s: np.ndarray) -> float:
     """Var_pm[s], overwriting s (every caller hands over a new score)."""
-    s -= float(pm @ s)
+    s -= _dot(pm, s)
     # dp_n = p_n * sc_n must sum to zero identically; guard the assembly.
-    resid = abs(float(pm @ s))
+    resid = abs(_dot(pm, s))
     np.abs(s, out=s)
-    scale = float(pm @ s)
+    scale = _dot(pm, s)
     if resid > 1e-10 * max(1.0, scale):
         raise RuntimeError(f"normalization-derivative identity violated: {resid}")
     s *= s  # |sc|^2 has the bits of sc^2
-    return float(pm @ s)
+    return _dot(pm, s)
 
 
 def _analytic_score(dist: PhotonDistribution, hold: str):
@@ -139,13 +140,13 @@ def _analytic_score(dist: PhotonDistribution, hold: str):
     if hold != "mean_photon":
         raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
     tm = dist.spec.intensity_score(dist.params, dist.n_max)[mask]
-    n -= float(pm @ n)
-    work = np.subtract(dm, float(pm @ dm))
+    n -= _dot(pm, n)
+    work = np.subtract(dm, _dot(pm, dm))
     work *= n
-    cov_nd = float(pm @ work)
-    np.subtract(tm, float(pm @ tm), out=work)
+    cov_nd = _dot(pm, work)
+    np.subtract(tm, _dot(pm, tm), out=work)
     work *= n
-    cov_nt = float(pm @ work)
+    cov_nt = _dot(pm, work)
     if abs(cov_nt) < 1e-290:
         # Frozen family (e.g. near-vacuum): no intensity response to cancel.
         return pm, dm
@@ -197,10 +198,10 @@ def calibrate_intensity(
         x = math.log(theta)
         u = current.intensity_score(params, dist.n_max)[mask]
         u *= theta  # d ln w_n / d x
-        u -= float(pm @ u)
-        n -= float(pm @ n)
+        u -= _dot(pm, u)
+        n -= _dot(pm, n)
         u *= n
-        slope = float(pm @ u)  # d mean / d x = Cov[n, u]
+        slope = _dot(pm, u)  # d mean / d x = Cov[n, u]
         if not (math.isfinite(slope) and slope != 0.0):
             raise DivergenceError(
                 f"intensity calibration stalled: flat mean response at {field} = {theta}"

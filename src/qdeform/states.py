@@ -73,6 +73,10 @@ DEFAULT_TOL = 1e-12
 # are trimmed before ratio analysis (exp stays in the normal float range).
 _UNDERFLOW_LOG = 700.0
 _RATIO_SLACK = 1e-9
+# OpenBLAS runs a dot product on one thread up to this many entries and
+# splits a longer one over its threads, so that its bits depend on the
+# thread count; _dot sums longer vectors in blocks of this size instead.
+_DOT_BLOCK = 10_000
 
 
 class _Probe:
@@ -487,13 +491,27 @@ def _check_normalizable(spec: ProbeSpec, params: DeformationParams) -> None:
         )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b of two vectors, summed in an order that no thread count changes.
+
+    Up to _DOT_BLOCK entries this is a @ b itself.  Longer vectors are taken
+    in _DOT_BLOCK-entry blocks, each a single-threaded a @ b, and the block
+    sums are added from the first to the last.
+    """
+    if len(a) <= _DOT_BLOCK:
+        return float(a @ b)
+    total = 0.0
+    for i in range(0, len(a), _DOT_BLOCK):
+        total += float(a[i:i + _DOT_BLOCK] @ b[i:i + _DOT_BLOCK])
+    return total
+
+
 def mean_photon(dist: PhotonDistribution) -> float:
     """Mean photon number sum_n n p_n of a truncated distribution.
 
     Truncation contributes an error of at most n_max * tail_bound.
     """
-    n = np.arange(dist.n_max + 1, dtype=float)
-    return float(n @ dist.probs)
+    return _dot(np.arange(dist.n_max + 1, dtype=float), dist.probs)
 
 
 def mean_photon_expansion(

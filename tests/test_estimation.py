@@ -2,6 +2,10 @@
 leading-order table, scaling exponents, and configuration plumbing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +232,7 @@ PINNED_POINTS = [
     ("coherent", P, 1000.0, 4e-4,
      "0x1.e138c381e89b3p+14", "0x1.42f143a5e2648p-8", "0x1.f3fffffffffc6p+9"),
     ("thermal", M, 2000.0, 2e-4,
-     "0x1.0bfb4d6e7e6c0p+20", "0x1.67adcb3d5382bp-5", "0x1.f400000000001p+10"),
+     "0x1.0bfb4d6e7e6bfp+20", "0x1.67adcb3d5382ap-5", "0x1.f400000000001p+10"),
     ("thermal", P, 5.0, 0.05,
      "0x1.7679579cb0b3dp+3", "0x1.df53a357ec6b6p-6", "0x1.3fffffffff00dp+2"),
     ("cat", M, 20.0, -2e-3,
@@ -244,6 +248,36 @@ def test_calibrated_point_bits(family, kind, target, eps, fisher, q, mean):
     report = estimation_report(spec, kind, eps)
     assert (report.fisher.hex(), report.qsnr.hex(), report.mean_photon.hex()) == (
         fisher, q, mean)
+
+
+# One calibrated point whose support exceeds the 10^4 entries above which
+# OpenBLAS splits a dot product over its threads.
+_THREAD_PROBE = """
+from qdeform.algebra import DeformationKind, DeformationParams
+from qdeform.estimation import calibrate_intensity, estimation_report
+from qdeform.states import ThermalSpec, build_distribution
+
+kind, eps, target = DeformationKind.M, 2e-4, 2000.0
+spec = calibrate_intensity(ThermalSpec.from_mean_photon(target),
+                           DeformationParams(kind, eps), target)
+report = estimation_report(spec, kind, eps)
+print(build_distribution(spec, DeformationParams(kind, eps)).n_max,
+      report.fisher.hex(), report.qsnr.hex(), report.mean_photon.hex())
+"""
+
+
+def test_large_support_bits_do_not_depend_on_blas_threads():
+    src = str(Path(states.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert int(outputs[0].split()[0]) > 10_000
+    assert outputs[0] == outputs[1]
 
 
 class TestLeadingOrderTable:
