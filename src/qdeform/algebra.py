@@ -40,7 +40,6 @@ __all__ = [
     "DeformationParams",
     "q_number",
     "log_delta",
-    "log_q_number_values",
     "log_delta_values",
     "dlog_q_number_values",
     "dlog_delta_values",
@@ -187,11 +186,6 @@ def _checked_levels(params: DeformationParams, n_max: int) -> _Levels:
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     return _levels(params.kind, params.epsilon)
-
-
-def log_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
-    """ln [j] for j = 0..n_max (index 0 holds -inf since [0] = 0)."""
-    return _log_q_rows(params.kind, [params.epsilon], n_max)[0]
 
 
 def log_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:

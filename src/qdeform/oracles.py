@@ -13,6 +13,10 @@ the tests do.
   fd_information                 F and H from central finite differences of
                                  the probabilities, against the analytic score;
                                  DerivativeInstabilityError when they are noise
+  log_q_number_values            ln [j] of one epsilon, the closed form
+                                 checked against mpmath and finite
+                                 differences (builds read algebra's kept
+                                 level vectors instead)
   g_product                      the finite product prod (1 - a b^k), whose
                                  closed Delta_n forms lose digits near eps = 0
   delta_series, gamma_series     leading small-epsilon expansions of Delta_n
@@ -28,7 +32,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import DeformationKind, DeformationParams
+from .algebra import DeformationKind, DeformationParams, _log_q_rows
 from .errors import DomainError, OutOfSupportError
 from .estimation import PROB_FLOOR, _analytic_score, calibrate_intensity
 from .montecarlo import _LOG_SUPPORT_FLOOR, CountSample, _counts_arrays
@@ -51,6 +55,7 @@ __all__ = [
     "log_likelihood",
     "log_likelihood_gradient",
     "fd_information",
+    "log_q_number_values",
     "g_product",
     "delta_series",
     "gamma_series",
@@ -213,6 +218,11 @@ def _richardson(cols: List[np.ndarray], h: float, rtol: float) -> Tuple[float, f
             )
         out.append(f_rich)
     return out[0], out[1]
+
+
+def log_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
+    """ln [j] for j = 0..n_max (index 0 holds -inf since [0] = 0)."""
+    return _log_q_rows(params.kind, [params.epsilon], n_max)[0]
 
 
 def g_product(a: float, b: float, n: int) -> float:

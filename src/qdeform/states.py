@@ -374,6 +374,18 @@ def _tail_surely_above(peak: float, size: int, ln_tail: float, tol: float) -> bo
     return ln_tail - ln_bound > math.log(tol) + 1e-6
 
 
+def _last_kept(lnw_sup: np.ndarray, peak: float) -> int:
+    """Last support position within _UNDERFLOW_LOG of the peak, and at least 1.
+
+    Entries past it underflow every certified tolerance and are trimmed
+    before ratio analysis; position 1 keeps the two points that _certify
+    needs for one ratio.  The peak itself passes, so the reversed mask has
+    a first True.
+    """
+    above = lnw_sup > peak - _UNDERFLOW_LOG
+    return max(len(above) - 1 - int(np.argmax(above[::-1])), 1)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
                 eps_sign: float) -> PhotonDistribution:
@@ -385,11 +397,7 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
         lnw = spec.log_weight_rows(params.kind, [params.epsilon], n_max)[0]
         lnw_sup = lnw[::step]
         peak = float(np.max(lnw_sup))
-        # Trim underflowed tail entries before ratio analysis, keeping the
-        # two support points that _certify needs for one ratio.  The peak
-        # itself passes, so the reversed mask has a first True.
-        above = lnw_sup > peak - _UNDERFLOW_LOG
-        last = max(len(above) - 1 - int(np.argmax(above[::-1])), 1)
+        last = _last_kept(lnw_sup, peak)
         trimmed = lnw_sup[: last + 1]
         try:
             ln_tail = _certify(trimmed)

@@ -24,12 +24,11 @@ from qdeform.algebra import (
     gamma_values,
     log_delta,
     log_delta_values,
-    log_q_number_values,
     q_number,
 )
 from qdeform.errors import DomainError
 from qdeform.estimation import classical_fisher
-from qdeform.oracles import delta_series, g_product, gamma_series
+from qdeform.oracles import delta_series, g_product, gamma_series, log_q_number_values
 from qdeform.states import CoherentSpec
 
 M, P = DeformationKind.M, DeformationKind.P

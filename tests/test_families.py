@@ -53,7 +53,7 @@ REMOVED = (
     "spec_from_dict", "distribution_from_dict", "report_from_dict", "benchmark_from_dict",
 )
 MOVED_TO_ORACLES = ("qfi_pure", "log_likelihood_gradient", "fixed_support_log_probs",
-                    "log_likelihood", "DerivativeInstabilityError")
+                    "log_likelihood", "DerivativeInstabilityError", "log_q_number_values")
 
 
 def _exports(module):
