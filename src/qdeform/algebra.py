@@ -74,14 +74,19 @@ class DeformationParams:
         object.__setattr__(self, "epsilon", eps)
 
 
-def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
-    """ln|e^x - 1|, stable for both tiny and huge arguments."""
+def _log_abs_expm1(x: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """ln|e^x - 1|, stable for both tiny and huge arguments; written over x
+    when in_place."""
     x = np.asarray(x, dtype=float)
     big = x > 33.0
+    out = x if in_place else None
     with np.errstate(divide="ignore"):
         if not big.any():  # same ufuncs as the masked path, without the copies
-            return np.log(np.abs(np.expm1(x)))
-        out = np.empty_like(x)
+            out = np.expm1(x, out=out)
+            np.abs(out, out=out)
+            return np.log(out, out=out)
+        if out is None:
+            out = np.empty_like(x)
         out[big] = x[big] + np.log1p(-np.exp(-x[big]))
         out[~big] = np.log(np.abs(np.expm1(x[~big])))
     return out
@@ -100,21 +105,25 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     eps = np.asarray(eps, dtype=float)
-    out = np.full((eps.size, n_max + 1 - start), -np.inf)
     first = max(start, 1)
     if n_max < first:
-        return out
+        return np.full((eps.size, n_max + 1 - start), -np.inf)
     j = np.arange(first, n_max + 1, dtype=float)
     L = np.array([math.log1p(e) for e in eps])[:, None]
     if kind is DeformationKind.M:
         den = eps
-        body = _log_abs_expm1(j * L)
+        body = _log_abs_expm1(j * L, in_place=True)
     else:
         den = eps * (2.0 + eps)
-        body = (1.0 - j) * L + _log_abs_expm1(2.0 * j * L)
+        body = _log_abs_expm1(2.0 * j * L, in_place=True)
+        body += (1.0 - j) * L
     log_den = np.array([math.log(abs(d)) if d else 0.0 for d in den])[:, None]
-    out[:, first - start:] = body - log_den
-    out[eps == 0.0, first - start:] = np.log(j)
+    out = np.empty((eps.size, n_max + 1 - start))
+    out[:, : first - start] = -np.inf
+    np.subtract(body, log_den, out=out[:, first - start:])
+    zero = eps == 0.0
+    if zero.any():
+        out[zero, first - start:] = np.log(j)
     return out
 
 
@@ -142,23 +151,33 @@ class _Levels:
         self._gamma = _frozen(np.zeros(1))
         self._log_delta = _frozen(np.zeros(1))
 
-    def _grow(self, name: str, n_max: int, extend) -> np.ndarray:
-        """Vector `name` for j = 0..n_max; extend(kept, ln [j] segment) gives
-        the entries it lacks."""
+    def _grow(self, name: str, n_max: int, fill) -> np.ndarray:
+        """Vector `name` for j = 0..n_max.  A longer vector is one new buffer
+        holding the kept entries; fill(run, ln [j] segment) writes the rest
+        into run[1:], where run starts at the last kept entry."""
         have = getattr(self, name)
         if len(have) <= n_max:
             segment = _log_q_rows(self.kind, np.array([self.eps]), n_max, len(have))[0]
-            have = _frozen(np.concatenate((have, extend(have, segment))))
+            grown = np.empty(n_max + 1)
+            grown[: len(have)] = have
+            fill(grown[len(have) - 1:], segment)
+            have = _frozen(grown)
             setattr(self, name, have)
         return have[: n_max + 1]
 
     def gamma(self, n_max: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self._grow("_gamma", n_max, lambda have, lq: np.exp(lq))
+        def fill(run, lq):
+            with np.errstate(over="ignore"):
+                np.exp(lq, out=run[1:])
+
+        return self._grow("_gamma", n_max, fill)
 
     def log_delta(self, n_max: int) -> np.ndarray:
-        return self._grow("_log_delta", n_max,
-                          lambda have, lq: np.cumsum(np.concatenate((have[-1:], lq)))[1:])
+        def fill(run, lq):  # the running sum continues from the last kept entry
+            run[1:] = lq
+            np.cumsum(run, out=run)
+
+        return self._grow("_log_delta", n_max, fill)
 
 
 _last_levels: Optional[_Levels] = None

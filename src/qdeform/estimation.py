@@ -97,13 +97,9 @@ class EstimationReport:
 
 def _masked(dist: PhotonDistribution):
     """(mask, pm, n): the levels with p_n above PROB_FLOOR, their renormalized
-    probabilities and their photon numbers.
-
-    Callers select the same levels of other vectors with vector[mask].  When
-    every level passes, as it does for thermal probes, the mask is the full
-    slice, so that selection is a view and pm and n hold the bits of the
-    copies a boolean mask would make.  pm and n are new arrays either way.
-    """
+    probabilities and photon numbers (new arrays).  Callers select the same
+    levels of other vectors with vector[mask], a view when every level
+    passes (as for thermal probes): mask is then the full slice."""
     p = dist.probs
     mask = p > PROB_FLOOR
     n = np.arange(dist.n_max + 1, dtype=float)

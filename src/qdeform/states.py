@@ -321,7 +321,7 @@ def _certify(lnw_sup: np.ndarray) -> float:
     Requires the successive log-ratios to be non-increasing (up to slack)
     and the boundary ratio to be < 1; raises DivergenceError otherwise.
     """
-    diffs = np.diff(lnw_sup)
+    diffs = np.subtract(lnw_sup[1:], lnw_sup[:-1])
     if diffs.size == 0:
         raise DivergenceError("support too small to certify truncation")
     if np.any(diffs[1:] > diffs[:-1] + _RATIO_SLACK):
@@ -374,16 +374,13 @@ def _tail_surely_above(peak: float, size: int, ln_tail: float, tol: float) -> bo
     return ln_tail - ln_bound > math.log(tol) + 1e-6
 
 
-def _last_kept(lnw_sup: np.ndarray, peak: float) -> int:
-    """Last support position within _UNDERFLOW_LOG of the peak, and at least 1.
+def _last_true(mask: np.ndarray) -> int:
+    """Position of the last True of a 1-D mask, 0 when there is none.
 
-    Entries past it underflow every certified tolerance and are trimmed
-    before ratio analysis; position 1 keeps the two points that _certify
-    needs for one ratio.  The peak itself passes, so the reversed mask has
-    a first True.
+    numpy bools are the bytes 0 and 1, so a reverse byte search finds it
+    from the end, far faster than argmax over the reversed view.
     """
-    above = lnw_sup > peak - _UNDERFLOW_LOG
-    return max(len(above) - 1 - int(np.argmax(above[::-1])), 1)
+    return max(mask.tobytes().rfind(1), 0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -397,7 +394,9 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
         lnw = spec.log_weight_rows(params.kind, [params.epsilon], n_max)[0]
         lnw_sup = lnw[::step]
         peak = float(np.max(lnw_sup))
-        last = _last_kept(lnw_sup, peak)
+        # Trim underflowed tail entries before ratio analysis, keeping the
+        # two support points that _certify needs for one ratio.
+        last = max(_last_true(lnw_sup > peak - _UNDERFLOW_LOG), 1)
         trimmed = lnw_sup[: last + 1]
         try:
             ln_tail = _certify(trimmed)
@@ -445,24 +444,24 @@ def _finalize(
     spec: ProbeSpec,
 ) -> PhotonDistribution:
     """Trim the certified support down to the smallest n_max meeting tol."""
-    # q = normalized support weights.  acc[k] = the certified beyond-support
-    # tail plus the last k of q, summed from the end, so acc[k] is the mass
-    # strictly after position len(q) - 1 - k.  The trimmed support lies
-    # within _UNDERFLOW_LOG of the peak, so the sums run in the linear
-    # domain, and q up to the cut gives the probabilities.  Adding
-    # non-negative floats never decreases a rounded sum, so acc is sorted
-    # and the positions meeting tol are a run at its start: the cut is the
-    # support position of the last acc[k] <= tol (the last position when
-    # none is).
+    # q = normalized support weights (the trimmed support lies within
+    # _UNDERFLOW_LOG of the peak, so this runs in the linear domain).
+    # acc[k] = the certified beyond-support tail plus the last k of q,
+    # summed from the end: the mass strictly after position len(q) - 1 - k.
+    # A rounded sum of non-negative floats never decreases, so acc is
+    # sorted and the cut is found by binary search: the position of the
+    # last acc[k] <= tol, else the last position.  acc[k] is at least each
+    # of its terms, so it is summed only back to the last q above tol.
     size = len(lnw_sup)
     q = np.subtract(lnw_sup, ln_total)
     with np.errstate(under="ignore"):
         np.exp(q, out=q)
-    acc = np.empty(size + 1)
+    last = _last_true(q > tol)
+    acc = np.empty(size - last)
     acc[0] = math.exp(ln_tail - ln_total)
-    acc[1:] = q[::-1]
+    acc[1:] = q[:last:-1]
     np.cumsum(acc, out=acc)
-    met = int(np.searchsorted(acc[:size], tol, side="right"))
+    met = int(np.searchsorted(acc, tol, side="right"))
     cut = size - met if met else size - 1
     n_max = support[cut]
     tail_bound = float(acc[size - 1 - cut])

@@ -32,9 +32,9 @@ def ref_logsumexp(a):
         return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
 
 
-def ref_last_kept(lnw_sup, peak):
-    keep = np.nonzero(lnw_sup > peak - states._UNDERFLOW_LOG)[0]
-    return max(int(keep[-1]), 1)
+def ref_last_true(mask):
+    keep = np.nonzero(mask)[0]
+    return int(keep[-1]) if keep.size else 0
 
 
 def ref_cut(lnw_sup, ln_tail, ln_total, tol):
@@ -100,13 +100,21 @@ class TestLogSumExp:
 class TestLastKept:
     @KERNELS
     @given(weights, st.booleans())
-    @example([0.0, -701.0], False)  # one point above the trim: position 1 is kept anyway
+    @example([0.0, -701.0], False)  # only the peak is above the trim
     @example([-800.0, 0.0, -699.0, -701.0, -699.5, -900.0], False)
     def test_matches_the_index_array(self, sup, cat):
+        # The build's trim mask: entries within _UNDERFLOW_LOG of the peak.
         lnw, step = _row(sup, cat)
         lnw_sup = lnw[::step]
-        peak = float(np.max(lnw_sup))
-        assert states._last_kept(lnw_sup, peak) == ref_last_kept(lnw_sup, peak)
+        mask = lnw_sup > float(np.max(lnw_sup)) - states._UNDERFLOW_LOG
+        assert states._last_true(mask) == ref_last_true(mask)
+
+    @KERNELS
+    @given(st.lists(st.booleans(), min_size=1, max_size=300))
+    def test_any_mask(self, bits):
+        mask = np.array(bits)
+        assert states._last_true(mask) == ref_last_true(mask)
+        assert states._last_true(np.zeros_like(mask)) == 0  # no True at all
 
 
 class TestFinalizeCut:
