@@ -501,15 +501,16 @@ def _check_normalizable(spec: ProbeSpec, params: DeformationParams) -> None:
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a @ b of two vectors, summed in an order that no thread count changes.
 
-    Up to _DOT_BLOCK entries this is a @ b itself.  Longer vectors are taken
-    in _DOT_BLOCK-entry blocks, each a single-threaded a @ b, and the block
-    sums are added from the first to the last.
+    Up to _DOT_BLOCK entries this is a @ b itself (a.dot(b) is the same
+    BLAS call, with less dispatch).  Longer vectors are taken in
+    _DOT_BLOCK-entry blocks, each a single-threaded dot, and the block sums
+    are added from the first to the last.
     """
     if len(a) <= _DOT_BLOCK:
-        return float(a @ b)
+        return float(a.dot(b))
     total = 0.0
     for i in range(0, len(a), _DOT_BLOCK):
-        total += float(a[i:i + _DOT_BLOCK] @ b[i:i + _DOT_BLOCK])
+        total += float(a[i:i + _DOT_BLOCK].dot(b[i:i + _DOT_BLOCK]))
     return total
 
 
