@@ -166,11 +166,8 @@ class _Levels:
         return have[: n_max + 1]
 
     def gamma(self, n_max: int) -> np.ndarray:
-        def fill(run, lq):
-            with np.errstate(over="ignore"):
-                np.exp(lq, out=run[1:])
-
-        return self._grow("_gamma", n_max, fill)
+        with np.errstate(over="ignore"):
+            return self._grow("_gamma", n_max, lambda run, lq: np.exp(lq, out=run[1:]))
 
     def log_delta(self, n_max: int) -> np.ndarray:
         def fill(run, lq):  # the running sum continues from the last kept entry

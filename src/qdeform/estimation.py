@@ -124,10 +124,8 @@ def _score_variance(pm: np.ndarray, s: np.ndarray) -> float:
 
 
 def _analytic_score(dist: PhotonDistribution, hold: str):
-    """Centered epsilon-score on the masked support, per the hold convention.
-
-    Returns (pm, s) with s a new array that the caller may overwrite.
-    """
+    """(pm, s): the epsilon-score on the masked support, per the hold
+    convention, as a new array that the caller may overwrite."""
     d = dist.spec.eps_score(dist.params, dist.n_max)
     mask, pm, n = _masked(dist)
     dm = d[mask]
