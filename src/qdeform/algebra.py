@@ -74,22 +74,18 @@ class DeformationParams:
         object.__setattr__(self, "epsilon", eps)
 
 
-def _log_abs_expm1(x: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """ln|e^x - 1|, stable for both tiny and huge arguments; written over x
-    when in_place."""
-    x = np.asarray(x, dtype=float)
+def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
+    """ln|e^x - 1|, stable for both tiny and huge arguments, written over the
+    float array x."""
     big = x > 33.0
-    out = x if in_place else None
     with np.errstate(divide="ignore"):
         if not big.any():  # same ufuncs as the masked path, without the copies
-            out = np.expm1(x, out=out)
-            np.abs(out, out=out)
-            return np.log(out, out=out)
-        if out is None:
-            out = np.empty_like(x)
-        out[big] = x[big] + np.log1p(-np.exp(-x[big]))
-        out[~big] = np.log(np.abs(np.expm1(x[~big])))
-    return out
+            np.expm1(x, out=x)
+            np.abs(x, out=x)
+            return np.log(x, out=x)
+        x[big] = x[big] + np.log1p(-np.exp(-x[big]))
+        x[~big] = np.log(np.abs(np.expm1(x[~big])))
+    return x
 
 
 def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
@@ -112,10 +108,10 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
     L = np.array([math.log1p(e) for e in eps])[:, None]
     if kind is DeformationKind.M:
         den = eps
-        body = _log_abs_expm1(j * L, in_place=True)
+        body = _log_abs_expm1(j * L)
     else:
         den = eps * (2.0 + eps)
-        body = _log_abs_expm1(2.0 * j * L, in_place=True)
+        body = _log_abs_expm1(2.0 * j * L)
         body += (1.0 - j) * L
     log_den = np.array([math.log(abs(d)) if d else 0.0 for d in den])[:, None]
     out = np.empty((eps.size, n_max + 1 - start))

@@ -73,9 +73,11 @@ DEFAULT_TOL = 1e-12
 # are trimmed before ratio analysis (exp stays in the normal float range).
 _UNDERFLOW_LOG = 700.0
 _RATIO_SLACK = 1e-9
-# OpenBLAS runs a dot product on one thread up to this many entries and
-# splits a longer one over its threads, so that its bits depend on the
-# thread count; _dot sums longer vectors in blocks of this size instead.
+# OpenBLAS's x86-64 ddot runs on one thread up to this many entries and
+# splits a longer dot product over its threads, so that its bits depend on
+# the thread count; _dot sums in blocks of this size instead.  Other BLAS
+# builds or architectures may split shorter dot products; only this one was
+# measured.
 _DOT_BLOCK = 10_000
 
 
@@ -321,7 +323,7 @@ def _certify(lnw_sup: np.ndarray) -> float:
     Requires the successive log-ratios to be non-increasing (up to slack)
     and the boundary ratio to be < 1; raises DivergenceError otherwise.
     """
-    diffs = np.subtract(lnw_sup[1:], lnw_sup[:-1])
+    diffs = np.diff(lnw_sup)
     if diffs.size == 0:
         raise DivergenceError("support too small to certify truncation")
     if np.any(diffs[1:] > diffs[:-1] + _RATIO_SLACK):
@@ -501,13 +503,11 @@ def _check_normalizable(spec: ProbeSpec, params: DeformationParams) -> None:
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a @ b of two vectors, summed in an order that no thread count changes.
 
-    Up to _DOT_BLOCK entries this is a @ b itself (a.dot(b) is the same
-    BLAS call, with less dispatch).  Longer vectors are taken in
-    _DOT_BLOCK-entry blocks, each a single-threaded dot, and the block sums
-    are added from the first to the last.
+    The vectors are taken in _DOT_BLOCK-entry blocks, each a single-threaded
+    dot (a.dot(b) is the BLAS call of a @ b, with less dispatch), and the
+    block sums are added from the first to the last.  Up to _DOT_BLOCK
+    entries that is one block, with the bits of a @ b.
     """
-    if len(a) <= _DOT_BLOCK:
-        return float(a.dot(b))
     total = 0.0
     for i in range(0, len(a), _DOT_BLOCK):
         total += float(a[i:i + _DOT_BLOCK].dot(b[i:i + _DOT_BLOCK]))
