@@ -17,9 +17,10 @@ epsilon = 0), and the removable singularity of [n] at epsilon = 0 is
 evaluated through expm1/log1p, with epsilon = 0 special-cased to the
 undeformed limits.  The epsilon-derivatives cancel near epsilon = 0 in
 closed form, so there a Taylor series takes over (dlog_q_number_values).
-The level vectors of the last (kind, epsilon) are kept and grown by new
-segments only (_Levels), since a calibrated point evaluates one epsilon
-at many intensities.
+The level vectors of the last (kind, epsilons) asked about are kept, one
+row per epsilon, and grown by new segments only (_Levels): a calibrated
+point evaluates one epsilon at many intensities, and every weight row,
+single or lockstep, reads its levels from them.
 The product forms and small-epsilon expansions that the tests check these
 values against are not part of this module.
 """
@@ -89,21 +90,26 @@ def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
 
 
 def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
-                start: int = 0) -> np.ndarray:
-    """ln [j] for j = start..n_max, one row per epsilon (column j = 0 holds -inf).
+                start: int = 0, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """ln [j] for j = start..n_max, one row per epsilon (column j = 0 holds -inf),
+    written into `out` when one is given.
 
     Every row is bit-identical to evaluating that epsilon alone: the
     per-epsilon constants go through scalar math.log1p/math.log, and the
     rest is elementwise.  So every entry depends on its own j and epsilon
     only, and the columns of a call from `start` are bit for bit those of
-    a call from 0; _Levels grows its vectors by such segments.
+    a call from 0; _Levels grows its rows by such segments, each written
+    straight into the grown buffer.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     eps = np.asarray(eps, dtype=float)
+    if out is None:
+        out = np.empty((eps.size, n_max + 1 - start))
     first = max(start, 1)
+    out[:, : first - start] = -np.inf
     if n_max < first:
-        return np.full((eps.size, n_max + 1 - start), -np.inf)
+        return out
     j = np.arange(first, n_max + 1, dtype=float)
     L = np.array([math.log1p(e) for e in eps])[:, None]
     if kind is DeformationKind.M:
@@ -114,8 +120,6 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
         body = _log_abs_expm1(2.0 * j * L)
         body += (1.0 - j) * L
     log_den = np.array([math.log(abs(d)) if d else 0.0 for d in den])[:, None]
-    out = np.empty((eps.size, n_max + 1 - start))
-    out[:, : first - start] = -np.inf
     np.subtract(body, log_den, out=out[:, first - start:])
     zero = eps == 0.0
     if zero.any():
@@ -123,52 +127,55 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
     return out
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class _Levels:
-    """gamma_j = [j] and ln Delta_j for j = 0..n of one (kind, epsilon).
+    """gamma_j = [j] and ln Delta_j for j = 0..n, one row per epsilon of eps.
 
-    Only the last epsilon asked about is kept (_levels), since between the
-    Newton iterates of a calibrated point only the intensity changes.  Each
-    vector is grown on demand by its new segment only, from the ln [j]
-    segment at a start column of _log_q_rows: gamma by exponentiating it,
-    ln Delta by continuing its cumulative sum from the last entry.  Every
-    entry is elementwise or a sequential sum, so each prefix has the bits
-    of a fresh evaluation.  The arrays are read-only; the public functions return
-    copies.  Callers in two threads can at worst compute a segment twice:
-    every array stored holds the same values.
+    Only the last (kind, eps) asked about is kept (_levels), since between
+    the Newton iterates of a calibrated point only the intensity changes.
+    Each vector is grown on demand by its new columns only: _log_q_rows
+    writes their ln [j] into the grown buffer from a start column, gamma
+    exponentiates them in place, and ln Delta continues each row's
+    cumulative sum from its last kept entry.
+    Every entry is elementwise or a sequential sum along its row, so each
+    row has the bits of a fresh evaluation of its epsilon alone.  The arrays
+    are read-only; the public functions return copies.  Callers in two
+    threads can at worst compute a segment twice: every array stored holds
+    the same values.
     """
 
-    def __init__(self, kind: DeformationKind, eps: float) -> None:
-        self.kind, self.eps, self.key = kind, eps, (kind, eps.hex())
-        self._gamma = _frozen(np.zeros(1))
-        self._log_delta = _frozen(np.zeros(1))
+    def __init__(self, kind: DeformationKind, eps: np.ndarray) -> None:
+        self.kind, self.eps, self.key = kind, eps, (kind, eps.tobytes())
+        self._gamma = self._log_delta = np.zeros((len(eps), 1))
+        self._gamma.flags.writeable = False
 
     def _grow(self, name: str, n_max: int, fill) -> np.ndarray:
-        """Vector `name` for j = 0..n_max.  A longer vector is one new buffer
-        holding the kept entries; fill(run, ln [j] segment) writes the rest
-        into run[1:], where run starts at the last kept entry."""
+        """Rows `name` for j = 0..n_max.  Longer rows are one new buffer:
+        _log_q_rows writes ln [j] into it from the last kept column on (one
+        contiguous block for a new key), and fill(run, last) turns that run
+        into values, given the last kept column."""
+        if n_max < 0:
+            raise DomainError("n_max must be >= 0")
         have = getattr(self, name)
-        if len(have) <= n_max:
-            segment = _log_q_rows(self.kind, np.array([self.eps]), n_max, len(have))[0]
-            grown = np.empty(n_max + 1)
-            grown[: len(have)] = have
-            fill(grown[len(have) - 1:], segment)
-            have = _frozen(grown)
-            setattr(self, name, have)
-        return have[: n_max + 1]
+        width = have.shape[1]
+        if width <= n_max:
+            grown = np.empty((len(self.eps), n_max + 1))
+            grown[:, :width - 1] = have[:, :-1]
+            run = _log_q_rows(self.kind, self.eps, n_max, width - 1, out=grown[:, width - 1:])
+            with np.errstate(over="ignore"):  # gamma_j beyond float range is +inf
+                fill(run, have[:, -1:])
+            grown.flags.writeable = False
+            setattr(self, name, grown)
+            have = grown
+        return have[:, : n_max + 1]
 
     def gamma(self, n_max: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self._grow("_gamma", n_max, lambda run, lq: np.exp(lq, out=run[1:]))
+        # exp of ln [j] at the last kept column gives its kept entry back, bit for bit
+        return self._grow("_gamma", n_max, lambda run, last: np.exp(run, out=run))
 
     def log_delta(self, n_max: int) -> np.ndarray:
-        def fill(run, lq):  # the running sum continues from the last kept entry
-            run[1:] = lq
-            np.cumsum(run, out=run)
+        def fill(run, last):  # each running sum continues from its last kept entry
+            run[:, :1] = last
+            np.cumsum(run, axis=1, out=run)
 
         return self._grow("_log_delta", n_max, fill)
 
@@ -176,14 +183,14 @@ class _Levels:
 _last_levels: Optional[_Levels] = None
 
 
-def _levels(kind: DeformationKind, eps: float) -> _Levels:
-    """The kept level vectors of (kind, eps), replacing those of any other key.
-
-    The key holds the bits of eps, so -0.0 and 0.0 are kept apart."""
+def _levels(kind: DeformationKind, eps) -> _Levels:
+    """The kept level rows of (kind, eps), one per epsilon of the sequence
+    eps, replacing those of any other key.  The key holds the bits of every
+    epsilon, so -0.0 and 0.0 are kept apart."""
     global _last_levels
-    eps = float(eps)
+    eps = np.array(eps, dtype=float)
     kept = _last_levels
-    if kept is None or kept.key != (kind, eps.hex()):
+    if kept is None or kept.key != (kind, eps.tobytes()):
         kept = _last_levels = _Levels(kind, eps)
     return kept
 
@@ -194,15 +201,9 @@ def _clear_levels() -> None:
     _last_levels = None
 
 
-def _checked_levels(params: DeformationParams, n_max: int) -> _Levels:
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    return _levels(params.kind, params.epsilon)
-
-
 def log_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """ln Delta_n = sum_{j<=n} ln [j] for n = 0..n_max (Delta_0 = 1)."""
-    return _checked_levels(params, n_max).log_delta(n_max).copy()
+    return _levels(params.kind, [params.epsilon]).log_delta(n_max)[0].copy()
 
 
 # Taylor coefficients of K(u) = 1 + c_1 u + sum_k c_2k u^2k, the function in
@@ -296,14 +297,14 @@ def gamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
     Entries overflow to +inf once [n] exceeds float range; callers that
     exponentiate -beta*gamma treat those levels as zero-weight.
     """
-    return _checked_levels(params, n_max).gamma(n_max).copy()
+    return _levels(params.kind, [params.epsilon]).gamma(n_max)[0].copy()
 
 
 def dgamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """d/d epsilon of gamma_n for n = 0..n_max (gamma_0 = 0 identically)."""
     dq = dlog_q_number_values(params, n_max)
     with np.errstate(invalid="ignore"):
-        dg = _levels(params.kind, params.epsilon).gamma(n_max) * dq
+        dg = _levels(params.kind, [params.epsilon]).gamma(n_max)[0] * dq
     dg[0] = 0.0
     return dg
 

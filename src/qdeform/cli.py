@@ -212,7 +212,7 @@ def _parse_eps_grid(parser: _Parser, args: argparse.Namespace) -> List[float]:
     except ValueError:
         parser.error(f"could not parse --eps-range {args.eps_range!r}")
         raise AssertionError  # unreachable
-    if count < 1 or lo <= 0 or hi <= 0 or hi < lo:
+    if count < 1 or not (0 < lo <= hi < math.inf):
         parser.error("--eps-range needs 0 < LO <= HI and COUNT >= 1")
     if count == 1:
         return [lo]

@@ -108,6 +108,8 @@ def sample_counts(dist: PhotonDistribution, shots: int, seed: int) -> CountSampl
     """Draw i.i.d. Fock outcomes by inverse CDF; deterministic given seed."""
     if shots <= 0:
         raise DomainError(f"shots must be positive, got {shots}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     p = dist.probs / dist.probs.sum()
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
@@ -340,6 +342,8 @@ def crb_benchmark(
         raise DomainError(f"shots must be positive, got {shots}")
     if replications < 2:
         raise DomainError(f"replications must be >= 2, got {replications}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if replications < 50:
         warnings.warn("fewer than 50 replications: variance estimate will be noisy",
                       RuntimeWarning, stacklevel=2)

@@ -48,7 +48,6 @@ from .algebra import (
     DeformationParams,
     _clear_levels,
     _levels,
-    _log_q_rows,
     dgamma_values,
     dlog_delta_values,
 )
@@ -90,8 +89,8 @@ class _Probe:
     n0                     undeformed mean photon number (sizes a build)
     m_divergence_rate      M, epsilon < 0: the weights diverge once
                            m_divergence_rate |epsilon| >= 1
-    log_weight_rows(kind, eps, n_max)   ln w_n, one row per epsilon (one
-                                        epsilon reads algebra's kept levels)
+    log_weight_rows(kind, eps, n_max)   ln w_n, one row per epsilon, read
+                                        from algebra's kept level rows
     eps_score(params, n_max)            d ln w_n / d epsilon
     intensity_score(params, n_max)      d ln w_n / d theta
     mean_expansion(params, regime)      leading-order mean photon number
@@ -136,15 +135,13 @@ class _AlphaSqProbe(_Probe):
         return self.alpha_sq
 
     def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
+        log_delta = _levels(kind, eps).log_delta(n_max)
         lnw = np.arange(n_max + 1, dtype=float)
         lnw *= math.log(self.alpha_sq)
-        if len(eps) == 1:
-            lnw -= _levels(kind, eps[0]).log_delta(n_max)
-            return lnw[None, :]
-        lq = _log_q_rows(kind, eps, n_max)
-        log_delta = np.zeros_like(lq)
-        log_delta[:, 1:] = np.cumsum(lq[:, 1:], axis=1)
-        return lnw - log_delta
+        lnw.resize(log_delta.shape, refcheck=False)  # one row keeps its buffer
+        lnw[1:] = lnw[0]
+        lnw -= log_delta
+        return lnw
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
         return -dlog_delta_values(params, n_max)
@@ -208,12 +205,7 @@ class ThermalSpec(_Probe):
 
     def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
         with np.errstate(over="ignore"):
-            if len(eps) == 1:
-                g = _levels(kind, eps[0]).gamma(n_max + 1)[None, :]
-            else:
-                g = _log_q_rows(kind, eps, n_max + 1)
-                np.exp(g, out=g)
-            lnw = _level_pair_sums(g)
+            lnw = _level_pair_sums(_levels(kind, eps).gamma(n_max + 1))
             lnw *= -(self.beta / 2.0)
         return lnw
 
@@ -225,9 +217,8 @@ class ThermalSpec(_Probe):
         return s
 
     def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
-        g = _levels(params.kind, params.epsilon).gamma(n_max + 1)
         with np.errstate(invalid="ignore"):
-            s = _level_pair_sums(g)
+            s = _level_pair_sums(_levels(params.kind, [params.epsilon]).gamma(n_max + 1)[0])
             s /= -2.0
         return s
 
@@ -303,7 +294,8 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a_max = np.max(a, axis=-1, keepdims=True)
     at_max = a == a_max
-    m = np.sum(at_max, axis=-1, keepdims=True, dtype=float)
+    # count_nonzero with an axis is no faster, and its int count slows the float ops below
+    m = at_max.sum(axis=-1, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = a - a_max  # one buffer: the maxima are set to e^-inf, the rest exponentiated
         np.copyto(e, -np.inf, where=at_max)

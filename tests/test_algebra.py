@@ -421,35 +421,41 @@ class TestLevelSegments:
             assert part.tobytes() == whole[start:].tobytes()
 
     @SEGMENTS
-    @given(st.sampled_from([M, P]), signed_eps,
+    @given(st.sampled_from([M, P]), st.lists(signed_eps, min_size=1, max_size=4),
            st.lists(st.tuples(st.sampled_from(["gamma", "log_delta"]),
                               st.integers(0, 2500)), min_size=1, max_size=8))
     def test_grown_vectors_equal_one_shot_evaluations(self, kind, eps, requests):
-        levels = _Levels(kind, eps)
+        levels = _Levels(kind, np.array(eps))
         for vector, n_max in requests:
             got = getattr(levels, vector)(n_max)
-            want = dict(zip(("log_q", "gamma", "log_delta"), one_shot(kind, eps, n_max)))
-            assert got.tobytes() == want[vector].tobytes()
+            assert got.shape == (len(eps), n_max + 1)
+            for row, e in zip(got, eps):  # each row is its own epsilon's, alone
+                want = dict(zip(("log_q", "gamma", "log_delta"), one_shot(kind, e, n_max)))
+                assert row.tobytes() == want[vector].tobytes()
             assert not got.flags.writeable
 
 
 class TestLevelMemo:
     def test_keeps_one_epsilon_only(self):
-        first = algebra._levels(M, 1e-3)
-        assert algebra._levels(M, 1e-3) is first
-        second = algebra._levels(M, 2e-3)
+        first = algebra._levels(M, [1e-3])
+        assert algebra._levels(M, [1e-3]) is first
+        second = algebra._levels(M, [2e-3])
         assert second is not first and algebra._last_levels is second
-        assert algebra._levels(P, 2e-3) is not second  # the kind joins the key
-        assert algebra._levels(P, -0.0) is not algebra._levels(P, 0.0)
-        assert algebra._levels(M, 1e-3) is not first  # first was dropped
+        assert algebra._levels(P, [2e-3]) is not second  # the kind joins the key
+        assert algebra._levels(P, [-0.0]) is not algebra._levels(P, [0.0])
+        assert algebra._levels(M, [1e-3]) is not first  # first was dropped
+        rows = algebra._levels(M, [1e-3, 2e-3])  # a sequence is one key
+        assert algebra._levels(M, np.array([1e-3, 2e-3])) is rows
+        assert algebra._levels(M, [2e-3, 1e-3]) is not rows
+        assert algebra._levels(M, [1e-3]) is not rows
 
     def test_clear_drops_the_kept_vectors(self):
         from qdeform.states import build_distribution
 
-        kept = algebra._levels(M, 1e-3)
+        kept = algebra._levels(M, [1e-3])
         build_distribution.cache_clear()
         assert algebra._last_levels is None
-        assert algebra._levels(M, 1e-3) is not kept
+        assert algebra._levels(M, [1e-3]) is not kept
 
     @pytest.mark.parametrize("kind, eps", [(M, 1e-3), (P, -2e-2), (P, 0.0)])
     def test_returned_arrays_are_fresh(self, kind, eps):

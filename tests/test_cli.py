@@ -139,6 +139,14 @@ class TestQsnrCommand:
         eps = [row["epsilon"] for row in doc["rows"]]
         assert eps == pytest.approx([1e-4, 1e-3, 1e-2], rel=1e-12)
 
+    @pytest.mark.parametrize("eps_range", ["nan:1e-2:3", "1e-3:nan:3", "1e-3:inf:3"])
+    def test_eps_range_rejects_non_finite_bounds(self, capsys, eps_range):
+        code, out, err = run_cli(capsys, "qsnr", "--family", "coherent",
+                                 "--kind", "M", "--eps-range", eps_range,
+                                 "--n-values", "5")
+        assert code == 1 and out == ""
+        assert "--eps-range needs 0 < LO <= HI and COUNT >= 1" in err
+
     def test_eps_grid_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "qsnr", "--family", "coherent",
                                "--kind", "M",
@@ -202,6 +210,13 @@ class TestBenchmarkCommand:
         bench = qdeform.crb_benchmark(spec, P, 0.0, 100, 60, 1)
         assert math.isinf(bench.crb)
         assert doc == serialize.benchmark_to_dict(bench, spec, P)
+
+    def test_negative_seed_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "benchmark", "--family", "thermal",
+                                 "--n-mean", "4", "--kind", "M", "--epsilon", "5e-3",
+                                 "--shots", "1000", "--reps", "60", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "qdeform: domain error: seed must be >= 0, got -1\n"
 
     def test_zero_shots_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "benchmark", "--family", "thermal",

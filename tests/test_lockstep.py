@@ -200,6 +200,23 @@ class TestKernelRows:
             assert np.array_equal(row, fixed_support_log_probs(spec, params, n_support))
             assert np.array_equal(row, ref_log_probs(spec, params, n_support))
 
+    @pytest.mark.parametrize("kind", [M, P])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+    def test_rows_between_builds_leave_a_fresh_build(self, spec, kind):
+        # The many-epsilon rows replace the kept levels of the first build;
+        # a later build at the same (kind, epsilon) must not see them.
+        params = DeformationParams(kind, 2e-3)
+        larger = type(spec).from_mean_photon(3.0 * spec.n0)
+        build_distribution(spec, params)
+        _fixed_support_log_prob_rows(spec, kind, np.array([1e-4, 2e-3, 0.05]), 700)
+        second = build_distribution(larger, params)
+        build_distribution.cache_clear()
+        fresh = build_distribution(larger, params)
+        assert second is not fresh
+        assert (second.n_max, second.tail_bound) == (fresh.n_max, fresh.tail_bound)
+        assert second.probs.tobytes() == fresh.probs.tobytes()
+        assert second.log_probs.tobytes() == fresh.log_probs.tobytes()
+
 
 class TestCrbAgainstReference:
     @pytest.mark.parametrize("spec, kind, eps, shots, seed, warned, failed", [

@@ -56,6 +56,11 @@ class TestSampling:
         s3 = sample_counts(dist, 5000, seed=43)
         assert s3 != s1
 
+    def test_negative_seed_is_a_domain_error(self):
+        dist = build_distribution(CoherentSpec(2.0), params(M, 1e-3))
+        with pytest.raises(DomainError, match="seed must be >= 0, got -3"):
+            sample_counts(dist, 10, -3)
+
     def test_poisson_sample_mean(self):
         # empirical mean within 4 sigma, sigma = sqrt(var/shots) = sqrt(1/1e5)
         dist = build_distribution(CoherentSpec(1.0), params(M, 0.0))
@@ -242,6 +247,8 @@ class TestCrbBenchmark:
             crb_benchmark(CoherentSpec(1.0), M, 0.0, shots=0, replications=60, seed=0)
         with pytest.raises(DomainError):
             crb_benchmark(CoherentSpec(1.0), M, 0.0, shots=10, replications=1, seed=0)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            crb_benchmark(CoherentSpec(1.0), M, 0.0, shots=10, replications=60, seed=-1)
 
     def test_small_replication_warning(self):
         with pytest.warns(RuntimeWarning):
