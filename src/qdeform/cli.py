@@ -5,9 +5,9 @@ Each subcommand returns its document with the CSV columns and rows read
 from it; main encodes the result through serialize and writes it once.
 
 Exit codes: 0 success, 1 usage error, a closed output pipe or an
-unwritable --out, 2 domain error, 3 numerical divergence.  Output files
-are written atomically (temp file + rename); stdout is used when --out is
-omitted.
+unwritable --out, 2 domain error (including inputs too large to allocate),
+3 numerical divergence.  Output files are written atomically (temp file +
+rename); stdout is used when --out is omitted.
 """
 
 from __future__ import annotations
@@ -270,7 +270,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:
+        # A MemoryError comes from inputs too large to hold in memory, such as
+        # a --shots or --reps count beyond any address space.
         sys.stderr.write(f"qdeform: domain error: {exc}\n")
         return EXIT_DOMAIN
     except (DivergenceError, BenchmarkError) as exc:

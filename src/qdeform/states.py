@@ -22,6 +22,10 @@ which never decreases, so the cut is a binary search in it.
 A calibrated point builds supports of up to 10^5 levels several times, so
 each pass over a support runs in place in one buffer, without index arrays
 or throwaway copies; every result has the bits of the plain expressions.
+log_weight_rows takes a start column, like algebra's level rows, and can
+write its columns into a given buffer: a build grows one weight row by
+segments, and each entry depends on its own n, so a segment has the bits
+of the same columns of a whole row.
 
 Non-normalizable corners raise DivergenceError instead of looping: the M
 deformation with epsilon < 0 has a bounded spectrum (gamma_n saturates at
@@ -39,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Type, Union
+from typing import ClassVar, Dict, Optional, Type, Union
 
 import numpy as np
 
@@ -72,6 +76,10 @@ DEFAULT_TOL = 1e-12
 # are trimmed before ratio analysis (exp stays in the normal float range).
 _UNDERFLOW_LOG = 700.0
 _RATIO_SLACK = 1e-9
+# Shortest first segment of a build's weight row.  Each segment costs fixed
+# work worth a few thousand entries read from kept level rows, so rows up to
+# this size are computed in one segment.
+_MIN_SEGMENT = 4096
 # OpenBLAS's x86-64 ddot runs on one thread up to this many entries and
 # splits a longer dot product over its threads, so that its bits depend on
 # the thread count; _dot sums in blocks of this size instead.  Other BLAS
@@ -89,8 +97,11 @@ class _Probe:
     n0                     undeformed mean photon number (sizes a build)
     m_divergence_rate      M, epsilon < 0: the weights diverge once
                            m_divergence_rate |epsilon| >= 1
-    log_weight_rows(kind, eps, n_max)   ln w_n, one row per epsilon, read
-                                        from algebra's kept level rows
+    log_weight_rows(kind, eps, n_max, start=0, out=None)
+                                        ln w_n for n = start..n_max, one row
+                                        per epsilon, read from algebra's
+                                        kept level rows; written into out
+                                        (rows x columns) when one is given
     eps_score(params, n_max)            d ln w_n / d epsilon
     intensity_score(params, n_max)      d ln w_n / d theta
     mean_expansion(params, regime)      leading-order mean photon number
@@ -134,14 +145,11 @@ class _AlphaSqProbe(_Probe):
     def m_divergence_rate(self) -> float:
         return self.alpha_sq
 
-    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
-        log_delta = _levels(kind, eps).log_delta(n_max)
-        lnw = np.arange(n_max + 1, dtype=float)
-        lnw *= math.log(self.alpha_sq)
-        lnw.resize(log_delta.shape, refcheck=False)  # one row keeps its buffer
-        lnw[1:] = lnw[0]
-        lnw -= log_delta
-        return lnw
+    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int, start: int = 0,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        n = np.arange(start, n_max + 1, dtype=float)
+        n *= math.log(self.alpha_sq)
+        return np.subtract(n, _levels(kind, eps).log_delta(n_max)[:, start:], out=out)
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
         return -dlog_delta_values(params, n_max)
@@ -166,9 +174,9 @@ class CoherentSpec(_AlphaSqProbe):
         return x - 0.5 * eps * eps * (x * x + x**3 / 3.0)
 
 
-def _level_pair_sums(g: np.ndarray) -> np.ndarray:
-    """gamma_{n+1} + gamma_n - 1 along the last axis, in one new buffer."""
-    s = np.add(g[..., 1:], g[..., :-1])
+def _level_pair_sums(g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """gamma_{n+1} + gamma_n - 1 along the last axis, in `out` or one new buffer."""
+    s = np.add(g[..., 1:], g[..., :-1], out=out)
     s -= 1.0
     return s
 
@@ -203,9 +211,10 @@ class ThermalSpec(_Probe):
 
     n0 = n_mean
 
-    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
+    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int, start: int = 0,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
         with np.errstate(over="ignore"):
-            lnw = _level_pair_sums(_levels(kind, eps).gamma(n_max + 1))
+            lnw = _level_pair_sums(_levels(kind, eps).gamma(n_max + 1)[:, start:], out)
             lnw *= -(self.beta / 2.0)
         return lnw
 
@@ -245,9 +254,10 @@ class CatSpec(_AlphaSqProbe):
     def n0(self) -> float:
         return self.alpha_sq * math.tanh(self.alpha_sq)
 
-    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int) -> np.ndarray:
-        lnw = super().log_weight_rows(kind, eps, n_max)
-        lnw[:, 1::2] = -np.inf
+    def log_weight_rows(self, kind: DeformationKind, eps, n_max: int, start: int = 0,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        lnw = super().log_weight_rows(kind, eps, n_max, start, out)
+        lnw[:, 1 - start % 2::2] = -np.inf  # the odd n
         return lnw
 
     def mean_expansion(self, params: DeformationParams, regime: str) -> float:
@@ -314,11 +324,14 @@ def _certify(lnw_sup: np.ndarray) -> float:
 
     Requires the successive log-ratios to be non-increasing (up to slack)
     and the boundary ratio to be < 1; raises DivergenceError otherwise.
+    A build passes each round only the support entries that no earlier
+    round certified, with the two before them: the ratio pair across that
+    junction is checked, and every pair before it has been already.
     """
-    diffs = np.diff(lnw_sup)
+    diffs = lnw_sup[1:] - lnw_sup[:-1]  # np.diff, without its dispatch
     if diffs.size == 0:
         raise DivergenceError("support too small to certify truncation")
-    if np.any(diffs[1:] > diffs[:-1] + _RATIO_SLACK):
+    if (diffs[1:] > diffs[:-1] + _RATIO_SLACK).any():
         raise DivergenceError(
             "weight ratios are not non-increasing; geometric tail bound invalid"
         )
@@ -380,20 +393,50 @@ def _last_true(mask: np.ndarray) -> int:
 @functools.lru_cache(maxsize=1)
 def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
                 eps_sign: float) -> PhotonDistribution:
-    """Support search of build_distribution, on checked arguments."""
-    step = spec.step
+    """Support search of build_distribution, on checked arguments.
+
+    The rounds double n_max from _initial_n_max up to HARD_CAP and share one
+    weight row.  It grows by segments of at most its current length, the
+    first ending near 2 n0, and each segment only appends its columns, with
+    the bits of a whole-row evaluation.  A segment updates the peak and
+    `top`, the last support entry above peak - _UNDERFLOW_LOG (a new peak
+    lies in the segment, and so does the last entry above its threshold);
+    _certify checks each round's new support entries from their junction.
+
+    The row stops growing once an entry past its peak lies below that
+    threshold: with non-increasing ratios, which the tail certificate
+    assumes anyway, no later entry rises above it again.  Every later round
+    then reads the trimmed prefix that a longer row would give, and makes
+    the same decisions, down to the HARD_CAP errors.
+    """
+    step, kind, eps = spec.step, params.kind, [params.epsilon]
     n_max = _initial_n_max(spec.n0)
+    first = max(n_max // 4, _MIN_SEGMENT)
+    lnw, have, peak, top, checked, crossed = np.empty(0), 0, -math.inf, -1, 1, False
     while True:
         n_max = min(n_max + n_max % step, HARD_CAP)  # even support needs even n_max
-        lnw = spec.log_weight_rows(params.kind, [params.epsilon], n_max)[0]
-        lnw_sup = lnw[::step]
-        peak = float(np.max(lnw_sup))
+        while not crossed and have <= n_max:
+            end = min(max(2 * have - 1, first), n_max)
+            if len(lnw) <= end:  # one buffer per round
+                grown = np.empty(n_max + 1)
+                grown[:have] = lnw[:have]
+                lnw = grown
+            spec.log_weight_rows(kind, eps, end, have, lnw[None, have:end + 1])
+            base = -(-have // step)  # support index of the first new support entry
+            have = end + 1
+            seg = lnw[base * step:have:step]
+            peak = max(peak, float(seg.max()))
+            above = (seg > peak - _UNDERFLOW_LOG).tobytes().rfind(1)
+            if above >= 0:
+                top = base + above
+            crossed = top < end // step  # an entry past the peak is below the threshold
         # Trim underflowed tail entries before ratio analysis, keeping the
         # two support points that _certify needs for one ratio.
-        last = max(_last_true(lnw_sup > peak - _UNDERFLOW_LOG), 1)
-        trimmed = lnw_sup[: last + 1]
+        last = max(top, 1)
+        trimmed = lnw[::step][: last + 1]
         try:
-            ln_tail = _certify(trimmed)
+            ln_tail = _certify(trimmed[checked - 1:])
+            checked = last
         except DivergenceError:
             if n_max >= HARD_CAP:
                 raise DivergenceError(

@@ -218,6 +218,19 @@ class TestBenchmarkCommand:
         assert code == 2 and out == ""
         assert err == "qdeform: domain error: seed must be >= 0, got -1\n"
 
+    # 10^15 draws or seeds need 8 PB, beyond any 64-bit address space: the
+    # allocation fails at once, without touching memory.
+    @pytest.mark.parametrize("flag", ["--shots", "--reps"])
+    def test_allocation_beyond_memory_is_a_domain_error(self, capsys, flag):
+        counts = {"--shots": "1000", "--reps": "60", flag: "1000000000000000"}
+        code, out, err = run_cli(capsys, "benchmark", "--family", "coherent",
+                                 "--alpha-sq", "5", "--kind", "M", "--epsilon", "0.01",
+                                 "--shots", counts["--shots"], "--reps", counts["--reps"],
+                                 "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("qdeform: domain error: Unable to allocate ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_zero_shots_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "benchmark", "--family", "thermal",
                                "--n-mean", "4", "--kind", "M",
