@@ -112,12 +112,14 @@ def _masked(dist: PhotonDistribution):
 
 def _score_variance(pm: np.ndarray, s: np.ndarray) -> float:
     """Var_pm[s], overwriting s (every caller hands over a new score)."""
-    s -= _dot(pm, s)
-    # dp_n = p_n * sc_n must sum to zero identically; guard the assembly.
+    mean = _dot(pm, s)
+    s -= mean
+    # dp_n = p_n * sc_n must sum to zero identically; guard the assembly,
+    # up to the rounding of the centering, which scales with the mean.
     resid = abs(_dot(pm, s))
     np.abs(s, out=s)
     scale = _dot(pm, s)
-    if resid > 1e-10 * max(1.0, scale):
+    if resid > 1e-10 * max(1.0, scale, abs(mean)):
         raise RuntimeError(f"normalization-derivative identity violated: {resid}")
     s *= s  # |sc|^2 has the bits of sc^2
     return _dot(pm, s)
@@ -275,7 +277,10 @@ def leading_order_qsnr(
         raise DomainError(
             f"family_class must be coherent/superposition/thermal, got {family_class!r}"
         ) from None
-    return const * (epsilon * n_mean) ** power
+    try:
+        return const * (epsilon * n_mean) ** power
+    except OverflowError:  # (eps N)^k beyond the float range
+        return math.inf
 
 
 def family_class_of(spec: ProbeSpec) -> str:

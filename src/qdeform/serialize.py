@@ -49,8 +49,9 @@ SWEEP_COLUMNS = ["epsilon", "n_target", "mean_photon", "fisher", "qfi", "qsnr",
 
 
 def _finite(x: float) -> Optional[float]:
-    """The one non-finite rule: inf and nan become None (JSON null)."""
-    return x if math.isfinite(x) else None
+    """The one non-finite rule: inf and nan become None (JSON null); ints
+    and bools pass unchanged."""
+    return x if isinstance(x, int) or math.isfinite(x) else None
 
 
 def spec_to_dict(spec: ProbeSpec) -> Dict[str, Any]:
@@ -58,11 +59,14 @@ def spec_to_dict(spec: ProbeSpec) -> Dict[str, Any]:
     return {"family": spec.family, field: _finite(getattr(spec, field))}
 
 
+def _header(doc_type: str, spec: ProbeSpec, kind: DeformationKind) -> Dict[str, Any]:
+    """The keys that open a one-spec document: its type, the spec and the kind."""
+    return {"type": doc_type, **spec_to_dict(spec), "kind": kind.value}
+
+
 def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:
     return {
-        "type": "photon_distribution",
-        **spec_to_dict(dist.spec),
-        "kind": dist.params.kind.value,
+        **_header("photon_distribution", dist.spec, dist.params.kind),
         "epsilon": _finite(dist.params.epsilon),
         "n_max": dist.n_max,
         "tail_bound": _finite(dist.tail_bound),
@@ -73,36 +77,16 @@ def distribution_to_dict(dist: PhotonDistribution) -> Dict[str, Any]:
 
 
 def report_to_dict(report: EstimationReport) -> Dict[str, Any]:
-    return {
-        "type": "estimation_report",
-        **spec_to_dict(report.spec),
-        "kind": report.kind.value,
-        "epsilon": _finite(report.epsilon),
-        "fisher": _finite(report.fisher),
-        "qfi": _finite(report.qfi),
-        "qsnr": _finite(report.qsnr),
-        "mean_photon": _finite(report.mean_photon),
-        "m_delta_coeff": _finite(report.m_delta_coeff),
-    }
+    doc = _header("estimation_report", report.spec, report.kind)
+    doc.update((c, _finite(getattr(report, c))) for c in REPORT_COLUMNS)
+    return doc
 
 
 def benchmark_to_dict(bench: CrbBenchmark, spec: ProbeSpec,
                       kind: DeformationKind) -> Dict[str, Any]:
-    return {
-        "type": "crb_benchmark",
-        **spec_to_dict(spec),
-        "kind": kind.value,
-        "epsilon_true": _finite(bench.epsilon_true),
-        "shots": bench.shots,
-        "replications": bench.replications,
-        "seed": bench.seed,
-        "empirical_var": _finite(bench.empirical_var),
-        "crb": _finite(bench.crb),
-        "ratio": _finite(bench.ratio),
-        "bias": _finite(bench.bias),
-        "estimable": bench.estimable,
-        "failed": bench.failed,
-    }
+    doc = _header("crb_benchmark", spec, kind)
+    doc.update((c, _finite(getattr(bench, c))) for c in BENCHMARK_COLUMNS)
+    return doc
 
 
 def sweep_to_dict(family: str, kind: DeformationKind, calibrated: bool,

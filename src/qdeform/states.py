@@ -206,8 +206,12 @@ class ThermalSpec(_Probe):
 
     @property
     def n_mean(self) -> float:
-        """Undeformed mean photon number 1/(e^beta - 1)."""
-        return 1.0 / math.expm1(self.beta)
+        """Undeformed mean photon number 1/(e^beta - 1), or e^-beta, equal to
+        it in floats, where e^beta overflows."""
+        try:
+            return 1.0 / math.expm1(self.beta)
+        except OverflowError:
+            return math.exp(-self.beta)
 
     n0 = n_mean
 
@@ -233,6 +237,8 @@ class ThermalSpec(_Probe):
 
     def mean_expansion(self, params: DeformationParams, regime: str) -> float:
         eps, n_t = params.epsilon, self.n_mean
+        if regime == "small" and n_t == 0.0:
+            return 0.0  # the n -> 0 limit (n ln n -> 0), where e^-beta underflows
         if params.kind is DeformationKind.M:
             if regime == "large":
                 return n_t - eps * (2.0 * n_t * n_t + 1.5 * n_t - 1.0 / 12.0)
@@ -319,25 +325,23 @@ def _initial_n_max(n0: float) -> int:
     return int(max(16, math.ceil(8.0 * (n0 + math.sqrt(n0)))))
 
 
-def _certify(lnw_sup: np.ndarray) -> float:
-    """Certified log tail bound beyond the last retained support weight.
+def _certify(lnw_sup: np.ndarray) -> Optional[float]:
+    """Certified log tail bound beyond the last retained support weight, or
+    None where the geometric majorant does not apply.
 
-    Requires the successive log-ratios to be non-increasing (up to slack)
-    and the boundary ratio to be < 1; raises DivergenceError otherwise.
-    A build passes each round only the support entries that no earlier
-    round certified, with the two before them: the ratio pair across that
-    junction is checked, and every pair before it has been already.
+    It applies when the successive log-ratios are non-increasing (up to
+    slack) and the boundary ratio is < 1.  A build passes each round only
+    the support entries that no earlier round certified, with the two before
+    them: the ratio pair across that junction is checked, and every pair
+    before it has been already.  A row past its trim point passes the same
+    entries in every round, so a None there is final.
     """
     diffs = lnw_sup[1:] - lnw_sup[:-1]  # np.diff, without its dispatch
-    if diffs.size == 0:
-        raise DivergenceError("support too small to certify truncation")
-    if (diffs[1:] > diffs[:-1] + _RATIO_SLACK).any():
-        raise DivergenceError(
-            "weight ratios are not non-increasing; geometric tail bound invalid"
-        )
+    if diffs.size == 0 or (diffs[1:] > diffs[:-1] + _RATIO_SLACK).any():
+        return None
     r_log = float(diffs[-1]) + _RATIO_SLACK
     if r_log >= 0.0:
-        raise DivergenceError("boundary weight ratio has not fallen below 1")
+        return None
     # tail <= w_last * r / (1 - r)
     return float(lnw_sup[-1]) + r_log - math.log1p(-math.exp(r_log))
 
@@ -405,9 +409,12 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
 
     The row stops growing once an entry past its peak lies below that
     threshold: with non-increasing ratios, which the tail certificate
-    assumes anyway, no later entry rises above it again.  Every later round
-    then reads the trimmed prefix that a longer row would give, and makes
-    the same decisions, down to the HARD_CAP errors.
+    assumes anyway, no later entry rises above it again.  Such a row is
+    final: every later round would read the same trimmed prefix and the same
+    junction, and fail as this one does, so a failing round raises the
+    HARD_CAP error at once.  Each round reaches one outcome: the finished
+    distribution, or a failure that doubles n_max or, at HARD_CAP or on a
+    final row, raises.
     """
     step, kind, eps = spec.step, params.kind, [params.epsilon]
     n_max = _initial_n_max(spec.n0)
@@ -434,30 +441,20 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
         # two support points that _certify needs for one ratio.
         last = max(top, 1)
         trimmed = lnw[::step][: last + 1]
-        try:
-            ln_tail = _certify(trimmed[checked - 1:])
+        ln_tail = _certify(trimmed[checked - 1:])
+        if ln_tail is None:
+            failure = f"state sum not certifiably convergent within n_max = {HARD_CAP}"
+        else:
             checked = last
-        except DivergenceError:
-            if n_max >= HARD_CAP:
-                raise DivergenceError(
-                    f"state sum not certifiably convergent within n_max = {HARD_CAP} "
-                    f"({type(spec).__name__}, kind={params.kind.value}, "
-                    f"epsilon={params.epsilon})"
-                ) from None
-            n_max = min(2 * n_max, HARD_CAP)
-            continue
-        if n_max < HARD_CAP and _tail_surely_above(peak, len(trimmed), ln_tail, tol):
-            n_max = min(2 * n_max, HARD_CAP)
-            continue
-        ln_total = float(np.logaddexp(_logsumexp(trimmed), ln_tail))
-        if math.exp(ln_tail - ln_total) <= tol:
-            return _finalize(lnw, range(0, (last + 1) * step, step), trimmed, ln_tail,
-                             ln_total, tol, params, spec)
-        if n_max >= HARD_CAP:
-            raise DivergenceError(
-                f"tail tolerance {tol} not reached at hard cap n_max = {HARD_CAP} "
-                f"({type(spec).__name__}, kind={params.kind.value}, epsilon={params.epsilon})"
-            )
+            if n_max >= HARD_CAP or not _tail_surely_above(peak, len(trimmed), ln_tail, tol):
+                ln_total = float(np.logaddexp(_logsumexp(trimmed), ln_tail))
+                if math.exp(ln_tail - ln_total) <= tol:
+                    return _finalize(lnw, range(0, (last + 1) * step, step), trimmed,
+                                     ln_tail, ln_total, tol, params, spec)
+            failure = f"tail tolerance {tol} not reached at hard cap n_max = {HARD_CAP}"
+        if crossed or n_max >= HARD_CAP:
+            raise DivergenceError(f"{failure} ({type(spec).__name__}, "
+                                  f"kind={params.kind.value}, epsilon={params.epsilon})")
         n_max = min(2 * n_max, HARD_CAP)
 
 

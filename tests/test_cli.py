@@ -517,6 +517,27 @@ class TestNonFiniteNumbers:
         assert row[header.index("estimable")] == "false"
 
 
+class TestFloatRangeEdges:
+    """Inputs at the edge of the float range end in a document, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "thermal", "--beta", "710", "--kind", "M", "--epsilon", "0"],
+        ["fisher", "--family", "thermal", "--beta", "1e308", "--kind", "P", "--epsilon", "0.3"],
+        ["qsnr", "--family", "cat", "--kind", "M", "--epsilons", "1e-3", "--n-values", "1e5"],
+        ["qsnr", "--family", "coherent", "--kind", "M", "--epsilons", "1e-3",
+         "--n-values", "1e308", "--raw-intensity"],
+    ], ids=" ".join)
+    def test_exits_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = strict_json(out)
+        if argv[0] == "state":
+            assert doc["n_max"] == 0 and doc["probs"] == [1.0]
+        if "--raw-intensity" in argv:
+            (row,) = doc["rows"]
+            assert row["qsnr_leading"] is None and row["ratio"] == 0.0
+
+
 class TestUnwritableOut:
     ARGV = ["state", "coherent", "--alpha-sq", "1", "--kind", "M", "--epsilon", "0"]
 

@@ -336,6 +336,11 @@ class TestLeadingOrderTable:
         fit = np.polyfit(np.log(ns), np.log(qs), 1)[0]
         assert abs(fit - slope) <= 0.1
 
+    @pytest.mark.parametrize("family_class, kind", [("coherent", M), ("thermal", P)])
+    def test_overflow_is_infinite(self, family_class, kind):
+        # (eps N)^k past the float maximum, as for N = 1e308
+        assert leading_order_qsnr(family_class, kind, 1e-3, 1e308) == math.inf
+
 
 class TestScalars:
     def test_qsnr_zero_at_zero_eps(self):
@@ -384,6 +389,38 @@ class TestReport:
         f_cal = classical_fisher(CoherentSpec(n), M, 1e-4)
         f_raw = classical_fisher(CoherentSpec(n), M, 1e-4, hold="intensity")
         assert f_raw / f_cal == pytest.approx(2 * n + 1, rel=0.05)
+
+
+class TestIdentityGuard:
+    """The normalization-derivative guard of _score_variance."""
+
+    @staticmethod
+    def draw(seed):
+        # A score of mean 5e9 and spread 500: centering rounds by ~ulp(5e9)
+        rng = np.random.default_rng(seed)
+        pm = rng.random(2000)
+        pm /= pm.sum()
+        return pm, 5e9 + rng.normal(0.0, 500.0, 2000)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_mean_passes(self, seed):
+        pm, s = self.draw(seed)
+        lp, ls = pm.astype(np.longdouble), s.astype(np.longdouble)
+        ref = float(lp @ (ls - lp @ ls) ** 2)
+        assert estimation._score_variance(pm, s) == pytest.approx(ref, rel=1e-6)
+
+    def test_violation_still_raises(self):
+        pm, s = self.draw(0)
+        pm *= 1.01  # dp_n no longer sums to zero
+        with pytest.raises(RuntimeError, match="identity violated"):
+            estimation._score_variance(pm, s)
+
+    def test_calibrated_cat_at_large_n(self):
+        # The score mean is 5e9 here, its spread after centering about 484
+        pr = DeformationParams(M, 1e-3)
+        spec = calibrate_intensity(CatSpec(1e5), pr, 1e5)
+        report = estimation_report(spec, M, 1e-3)
+        assert report.fisher == pytest.approx(499500.5404577, rel=1e-9)
 
 
 class TestOneBuildReport:

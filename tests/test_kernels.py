@@ -313,11 +313,10 @@ class TestSegmentedRow:
         real = states._certify
 
         def spy(lnw_sup):
-            try:
-                return real(lnw_sup)
-            except DivergenceError:
+            ln_tail = real(lnw_sup)
+            if ln_tail is None:
                 failed.append(len(lnw_sup))
-                raise
+            return ln_tail
 
         monkeypatch.setattr(states, "_certify", spy)
         # |alpha|^2 |eps| = 0.9999: the first row still rises at its end

@@ -127,6 +127,28 @@ class TestDivergenceGuards:
             build_distribution(ThermalSpec(beta=1e-308), params(kind, eps))
 
 
+class TestNearVacuumThermal:
+    """beta past ln(float max) ~ 709.78, where e^beta - 1 overflows."""
+
+    @pytest.mark.parametrize("beta", [700.0, 709.78])
+    def test_n_mean_keeps_its_formula(self, beta):
+        assert ThermalSpec(beta=beta).n_mean == 1.0 / math.expm1(beta)
+
+    @pytest.mark.parametrize("beta", [710.0, 800.0, 1e5, 1e308])
+    def test_vacuum(self, beta):
+        spec = ThermalSpec(beta=beta)
+        assert spec.n_mean == math.exp(-beta)
+        for kind, eps in [(M, 0.0), (P, 0.3)]:
+            dist = build_distribution(spec, params(kind, eps))
+            assert dist.n_max == 0 and dist.probs.tolist() == [1.0]
+
+    def test_small_expansion_at_zero_mean(self):
+        # n_T = e^-800 underflows to 0; n ln n has the limit 0 there
+        spec = ThermalSpec(beta=800.0)
+        for kind in (M, P):
+            assert mean_photon_expansion(spec, params(kind, 1e-3), regime="small") == 0.0
+
+
 class TestCat:
     @pytest.mark.parametrize("kind", [M, P])
     @pytest.mark.parametrize("eps", [0.0, 1e-3, -1e-3, 1e-2])
