@@ -76,16 +76,17 @@ class DeformationParams:
 
 
 def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
-    """ln|e^x - 1|, stable for both tiny and huge arguments, written over the
-    float array x."""
+    """ln|e^x - 1| written over the float array x: expm1, abs and log of every
+    entry, then x + ln(1 - e^-x) from a copy of the entries above 33, where
+    e^x may overflow.  Each step is elementwise, bit for bit per branch."""
     big = x > 33.0
-    with np.errstate(divide="ignore"):
-        if not big.any():  # same ufuncs as the masked path, without the copies
-            np.expm1(x, out=x)
-            np.abs(x, out=x)
-            return np.log(x, out=x)
-        x[big] = x[big] + np.log1p(-np.exp(-x[big]))
-        x[~big] = np.log(np.abs(np.expm1(x[~big])))
+    xb = x[big]
+    with np.errstate(over="ignore", divide="ignore"):
+        np.expm1(x, out=x)
+        np.abs(x, out=x)
+        np.log(x, out=x)
+    xb += np.log1p(-np.exp(-xb))
+    x[big] = xb
     return x
 
 
@@ -303,8 +304,7 @@ def gamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
 def dgamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """d/d epsilon of gamma_n for n = 0..n_max (gamma_0 = 0 identically)."""
     dq = dlog_q_number_values(params, n_max)
-    with np.errstate(invalid="ignore"):
-        dg = _levels(params.kind, [params.epsilon]).gamma(n_max)[0] * dq
+    dg = _levels(params.kind, [params.epsilon]).gamma(n_max)[0] * dq
     dg[0] = 0.0
     return dg
 

@@ -7,10 +7,10 @@ measurement is
     F(eps) = sum_n (d p_n / d eps)^2 / p_n = Var_p[score],
 
 with the score d ln p_n / d eps assembled from the analytic log-weight
-derivatives that each probe family provides (eps_score and
-intensity_score on the spec classes); the normalization derivative enters
-through centering, which makes sum_n dp_n = 0 an exact identity (checked
-at run time).  Because the Fock basis is unaffected by the deformation,
+derivative d = d ln w_n / d eps that each probe family provides (eps_score
+on the spec classes); the normalization derivative enters through
+centering, which makes sum_n dp_n = 0 an exact identity (checked at run
+time).  Because the Fock basis is unaffected by the deformation,
 the QFI of these families equals F: for pure real-amplitude probes
 H = 4 sum_n (d psi_n)^2, and for Fock-diagonal mixtures H reduces to the
 same diagonal sum.  estimation_report therefore builds its distribution
@@ -23,7 +23,8 @@ Two parametrizations of the epsilon-family are exposed via `hold`:
       re-solved along the family so the state's mean photon number stays
       fixed.  This is the energy-calibrated scenario behind the
       leading-order QSNR table (Q ~ eps^2 N^2 / 8 etc.); the projection
-      is Var[d - lambda t] with lambda = Cov[n,d]/Cov[n,t].
+      is Var[d - lambda t] with lambda = Cov[n,d]/Cov[n,t] and t = d ln w_n
+      / d ln theta up to a constant (ln_theta_score on the spec classes).
   "intensity": the raw parameter is held fixed.  This is the family a
       maximum-likelihood search over epsilon at known intensity actually
       explores, hence what the Cramer-Rao benchmark must use.
@@ -135,7 +136,7 @@ def _analytic_score(dist: PhotonDistribution, hold: str):
         return pm, dm
     if hold != "mean_photon":
         raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
-    tm = dist.spec.intensity_score(dist.params, dist.n_max)[mask]
+    tm = dist.spec.ln_theta_score(dist)[mask]
     n -= _dot(pm, n)
     work = np.subtract(dm, _dot(pm, dm))
     work *= n
@@ -149,6 +150,17 @@ def _analytic_score(dist: PhotonDistribution, hold: str):
     tm *= cov_nd / cov_nt
     dm -= tm
     return pm, dm
+
+
+def _fisher(dist: PhotonDistribution, hold: str) -> float:
+    """F = Var[score] per the hold convention; DivergenceError, with no
+    floating-point warning, where the thermal epsilon-score overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fisher = _score_variance(*_analytic_score(dist, hold))
+    if not math.isfinite(fisher):
+        raise DivergenceError(f"epsilon score overflows the float range ({dist.spec!r}, "
+                              f"kind={dist.params.kind.value}, epsilon={dist.params.epsilon})")
+    return fisher
 
 
 def calibrate_intensity(
@@ -192,8 +204,7 @@ def calibrate_intensity(
         mask, pm, n = _masked(dist)
         theta = getattr(current, field)
         x = math.log(theta)
-        u = current.intensity_score(params, dist.n_max)[mask]
-        u *= theta  # d ln w_n / d x
+        u = current.ln_theta_score(dist)[mask]
         u -= _dot(pm, u)
         n -= _dot(pm, n)
         u *= n
@@ -230,9 +241,7 @@ def classical_fisher(
     hold: str = "mean_photon",
 ) -> float:
     """Classical Fisher information of photon counting for estimating epsilon."""
-    dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    pm, s = _analytic_score(dist, hold)
-    return _score_variance(pm, s)
+    return _fisher(build_distribution(spec, DeformationParams(kind, epsilon), tol), hold)
 
 
 def qsnr(epsilon: float, qfi: float) -> float:
@@ -301,8 +310,7 @@ def estimation_report(
     these families.
     """
     dist = build_distribution(spec, DeformationParams(kind, epsilon), tol)
-    pm, s = _analytic_score(dist, hold)
-    fisher = qfi = _score_variance(pm, s)
+    fisher = qfi = _fisher(dist, hold)
     q = qsnr(epsilon, qfi)
     return EstimationReport(
         spec=spec,

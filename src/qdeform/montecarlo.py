@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebra import DeformationKind, DeformationParams
 from .errors import BenchmarkError, DomainError, OutOfSupportError
-from .estimation import _analytic_score, _score_variance
+from .estimation import _fisher
 from .states import (
     DEFAULT_TOL,
     PhotonDistribution,
@@ -348,7 +348,7 @@ def crb_benchmark(
         warnings.warn("fewer than 50 replications: variance estimate will be noisy",
                       RuntimeWarning, stacklevel=2)
     dist = build_distribution(spec, DeformationParams(kind, epsilon_true), tol)
-    fisher = _score_variance(*_analytic_score(dist, "intensity"))
+    fisher = _fisher(dist, "intensity")
     if fisher <= 1e-280:
         return CrbBenchmark(
             epsilon_true=epsilon_true,

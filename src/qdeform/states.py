@@ -103,7 +103,8 @@ class _Probe:
                                         kept level rows; written into out
                                         (rows x columns) when one is given
     eps_score(params, n_max)            d ln w_n / d epsilon
-    intensity_score(params, n_max)      d ln w_n / d theta
+    ln_theta_score(dist)                d ln w_n / d ln theta up to a constant
+                                        (a new array): n, or ln p_n if thermal
     mean_expansion(params, regime)      leading-order mean photon number
     from_mean_photon(n)                 spec from a mean photon number n
     """
@@ -154,10 +155,8 @@ class _AlphaSqProbe(_Probe):
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
         return -dlog_delta_values(params, n_max)
 
-    def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
-        n = np.arange(n_max + 1, dtype=float)
-        n /= self.alpha_sq
-        return n
+    def ln_theta_score(self, dist: PhotonDistribution) -> np.ndarray:
+        return np.arange(dist.n_max + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -172,13 +171,6 @@ class CoherentSpec(_AlphaSqProbe):
         if params.kind is DeformationKind.M:
             return x - 0.5 * eps * x * x
         return x - 0.5 * eps * eps * (x * x + x**3 / 3.0)
-
-
-def _level_pair_sums(g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """gamma_{n+1} + gamma_n - 1 along the last axis, in `out` or one new buffer."""
-    s = np.add(g[..., 1:], g[..., :-1], out=out)
-    s -= 1.0
-    return s
 
 
 @dataclass(frozen=True)
@@ -217,23 +209,21 @@ class ThermalSpec(_Probe):
 
     def log_weight_rows(self, kind: DeformationKind, eps, n_max: int, start: int = 0,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
+        g = _levels(kind, eps).gamma(n_max + 1)[:, start:]
         with np.errstate(over="ignore"):
-            lnw = _level_pair_sums(_levels(kind, eps).gamma(n_max + 1)[:, start:], out)
+            lnw = np.add(g[:, 1:], g[:, :-1], out=out)
+            lnw -= 1.0
             lnw *= -(self.beta / 2.0)
         return lnw
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
         dg = dgamma_values(params, n_max + 1)
-        with np.errstate(invalid="ignore"):
-            s = np.add(dg[1:], dg[:-1])
-            s *= -(self.beta / 2.0)
+        s = np.add(dg[1:], dg[:-1])
+        s *= -(self.beta / 2.0)
         return s
 
-    def intensity_score(self, params: DeformationParams, n_max: int) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            s = _level_pair_sums(_levels(params.kind, [params.epsilon]).gamma(n_max + 1)[0])
-            s /= -2.0
-        return s
+    def ln_theta_score(self, dist: PhotonDistribution) -> np.ndarray:
+        return dist.log_probs.copy()  # ln w_n - ln Z, finite where p_n > 0
 
     def mean_expansion(self, params: DeformationParams, regime: str) -> float:
         eps, n_t = params.epsilon, self.n_mean

@@ -537,6 +537,22 @@ class TestFloatRangeEdges:
             (row,) = doc["rows"]
             assert row["qsnr_leading"] is None and row["ratio"] == 0.0
 
+    @pytest.mark.parametrize("argv", [
+        ["qsnr", "--family", "thermal", "--kind", "M", "--epsilons", "0.01",
+         "--n-values", "34800"],
+        ["fisher", "--family", "thermal", "--beta", "1e-303", "--kind", "M",
+         "--epsilon", "0.01", "--hold", "intensity"],
+        ["benchmark", "--family", "thermal", "--beta", "1e-305", "--kind", "M",
+         "--epsilon", "0.3", "--shots", "100", "--reps", "50", "--seed", "1"],
+    ], ids=" ".join)
+    def test_eps_score_overflow_exit_3(self, capsys, argv):
+        # The first calibrates to beta = 9.5e-304: the thermal epsilon-score
+        # overflows there although the weights do not.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("qdeform: numerical error: epsilon score overflows")
+        assert err.count("\n") == 1
+
 
 class TestUnwritableOut:
     ARGV = ["state", "coherent", "--alpha-sq", "1", "--kind", "M", "--epsilon", "0"]

@@ -193,6 +193,17 @@ class TestCalibration:
             calibrate_intensity(ThermalSpec(beta=700.0), DeformationParams(M, 1e-3), 1.0)
 
 
+def test_thermal_eps_score_overflow_is_a_divergence_error():
+    # At M, eps = 0.01 the thermal epsilon-score gamma_n d ln [n] / d eps
+    # leaves the float range between beta = 1e-301 and 1e-303, where beta
+    # gamma_n is still about 6; F there is not finite, and no
+    # floating-point warning escapes on the way to the error.
+    assert classical_fisher(ThermalSpec(1e-301), M, 0.01, hold="intensity") \
+        == 6800942.265136878
+    with pytest.raises(DivergenceError, match="epsilon score overflows"):
+        classical_fisher(ThermalSpec(1e-303), M, 0.01, hold="intensity")
+
+
 class TestCalibratedReport:
     @pytest.mark.parametrize("family", ["coherent", "cat", "thermal"])
     @pytest.mark.parametrize("kind", [M, P])
@@ -228,17 +239,17 @@ class TestCalibratedReport:
 # fails here first: the Monte Carlo CRB ratios move with the last bit of F.
 PINNED_POINTS = [
     ("coherent", M, 10.0, 3e-3,
-     "0x1.8a392246b8172p+3", "0x1.d10b69ebb6828p-14", "0x1.3ffffffffff97p+3"),
+     "0x1.8a392246b8173p+3", "0x1.d10b69ebb6829p-14", "0x1.3ffffffffff97p+3"),
     ("coherent", P, 1000.0, 4e-4,
-     "0x1.e138c381e89b3p+14", "0x1.42f143a5e2648p-8", "0x1.f3fffffffffc6p+9"),
+     "0x1.e138c381e8990p+14", "0x1.42f143a5e2631p-8", "0x1.f3fffffffffc6p+9"),
     ("thermal", M, 2000.0, 2e-4,
-     "0x1.0bfb4d6e7e6bfp+20", "0x1.67adcb3d5382ap-5", "0x1.f400000000001p+10"),
+     "0x1.0bfb4d6e7e6bdp+20", "0x1.67adcb3d53827p-5", "0x1.f400000000001p+10"),
     ("thermal", P, 5.0, 0.05,
-     "0x1.7679579cb0b3dp+3", "0x1.df53a357ec6b6p-6", "0x1.3fffffffff00dp+2"),
+     "0x1.7679579cb0b3fp+3", "0x1.df53a357ec6b9p-6", "0x1.3fffffffff00dp+2"),
     ("cat", M, 20.0, -2e-3,
-     "0x1.968f37f4624e9p+5", "0x1.aa4ef87f6953ap-13", "0x1.40000000003fap+4"),
+     "0x1.968f37f4624eap+5", "0x1.aa4ef87f6953bp-13", "0x1.40000000003fap+4"),
     ("cat", P, 500.0, 1e-3,
-     "0x1.5bca8609763bcp+13", "0x1.6caf76effc500p-7", "0x1.f3ffffffffe4bp+8"),
+     "0x1.5bca86097639dp+13", "0x1.6caf76effc4e0p-7", "0x1.f3ffffffffe4bp+8"),
 ]
 
 
@@ -248,6 +259,61 @@ def test_calibrated_point_bits(family, kind, target, eps, fisher, q, mean):
     report = estimation_report(spec, kind, eps)
     assert (report.fisher.hex(), report.qsnr.hex(), report.mean_photon.hex()) == (
         fisher, q, mean)
+
+
+@pytest.mark.parametrize("family, kind, target, eps, fisher, q, mean", PINNED_POINTS)
+def test_calibrated_point_fisher_matches_50_digits(family, kind, target, eps, fisher, q,
+                                                   mean):
+    # The pinned F, as the report computes it, against Var[d - lambda t]
+    # with lambda = Cov[n,d]/Cov[n,t], in 50 digits at the calibrated spec.
+    # Both sum over the levels with p_n above PROB_FLOOR, renormalized, so
+    # they truncate alike and this checks the arithmetic.  [j] and
+    # d ln [j] / d eps come from their recurrences, and t = d ln w_n / d ln
+    # theta from its closed form (n, or ln w_n for thermal weights, which
+    # are linear in beta).
+    mp = pytest.importorskip("mpmath")
+    from test_algebra import mp_q_numbers
+
+    pr = DeformationParams(kind, eps)
+    spec = calibrate_intensity(spec_for(family, target), pr, target)
+    dist = build_distribution(spec, pr)
+    levels = np.flatnonzero(dist.probs > estimation.PROB_FLOOR)
+    qs, dlq = mp_q_numbers(kind, eps, dist.n_max + 1)
+    with mp.workdps(50):
+        if family == "thermal":
+            half_beta = mp.mpf(spec.beta) / 2
+            g = [mp.mpf(0)] + qs  # gamma_j for j = 0..n_max + 1
+            dg = [mp.mpf(0)] + [a * b for a, b in zip(qs, dlq)]
+            lnw = [-half_beta * (g[n + 1] + g[n] - 1) for n in levels]
+            d = [-half_beta * (dg[n + 1] + dg[n]) for n in levels]
+            t = lnw
+        else:
+            ln_delta, d_ln_delta = [mp.mpf(0)], [mp.mpf(0)]
+            for a, b in zip(qs, dlq):
+                ln_delta.append(ln_delta[-1] + mp.log(a))
+                d_ln_delta.append(d_ln_delta[-1] + b)
+            ln_theta = mp.log(mp.mpf(spec.alpha_sq))
+            lnw = [n * ln_theta - ln_delta[n] for n in levels]
+            d = [-d_ln_delta[n] for n in levels]
+            t = [mp.mpf(int(n)) for n in levels]
+        top = max(lnw)
+        w = [mp.exp(x - top) for x in lnw]
+        z = mp.fsum(w)
+        p = [x / z for x in w]
+
+        def mean_of(v):
+            return mp.fdot(p, v)
+
+        def cov(u, v):
+            mu, mv = mean_of(u), mean_of(v)
+            return mp.fdot(p, [(a - mu) * (b - mv) for a, b in zip(u, v)])
+
+        n = [mp.mpf(int(k)) for k in levels]
+        lam = cov(n, d) / cov(n, t)
+        s = [a - lam * b for a, b in zip(d, t)]
+        want = float(cov(s, s))
+    got = estimation_report(spec, kind, eps).fisher
+    assert (got.hex(), abs(got - want) <= 1e-12 * want) == (fisher, True)
 
 
 # One calibrated point whose support exceeds the 10^4 entries above which

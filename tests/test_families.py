@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.cli import build_parser
 from qdeform.errors import DivergenceError, DomainError
 from qdeform.estimation import (
+    PROB_FLOOR,
     calibrate_intensity,
     classical_fisher,
     estimation_report,
@@ -39,7 +41,7 @@ M, P = DeformationKind.M, DeformationKind.P
 
 PROTOCOL = (
     "family", "family_class", "field", "step", "pure", "n0", "m_divergence_rate",
-    "log_weight_rows", "eps_score", "intensity_score", "mean_expansion",
+    "log_weight_rows", "eps_score", "ln_theta_score", "mean_expansion",
     "from_mean_photon",
 )
 
@@ -100,7 +102,9 @@ class TestConformance:
         rows = spec.log_weight_rows(M, np.array([0.0, 1e-3]), 20)
         assert rows.shape == (2, 21)
         pr = DeformationParams(P, 1e-3)
-        assert spec.eps_score(pr, 20).shape == spec.intensity_score(pr, 20).shape == (21,)
+        dist = build_distribution(spec, pr)
+        assert spec.eps_score(pr, dist.n_max).shape == spec.ln_theta_score(dist).shape \
+            == (dist.n_max + 1,)
 
     def test_cli_family_choices_are_the_families(self):
         parser = build_parser()
@@ -234,3 +238,28 @@ def test_analytic_fisher_matches_finite_differences(cls, kind, size, negative, n
     analytic = classical_fisher(spec, kind, eps, hold="intensity")
     fd, _ = fd_information(spec, kind, eps, hold="intensity")
     assert fd == pytest.approx(analytic, rel=1e-5)
+
+
+@PROPERTY
+@given(families, kinds, st.floats(-0.5, 0.5), intensities)
+def test_ln_theta_score_is_the_log_weight_slope(cls, kind, eps, n):
+    # ln_theta_score is d ln w_n / d ln theta up to an added constant, so
+    # centered under p it equals a centered central difference of the
+    # log-weights in ln theta.  At step h the difference is exact for
+    # coherent and cat weights (linear in ln theta) and off by h^2/6
+    # relative for thermal ones (linear in theta), 1.7e-9 at h = 1e-4; its
+    # rounding is about ulp(|ln w_n|)/h.  The bound is relative to the
+    # largest centered score entry.
+    spec = cls.from_mean_photon(n)
+    assume(not _near_divergence(spec, kind, eps))
+    dist = build_distribution(spec, DeformationParams(kind, eps))
+    keep = dist.probs > PROB_FLOOR
+    p = dist.probs[keep] / dist.probs[keep].sum()
+    theta, h = getattr(spec, cls.field), 1e-4
+    up, down = (replace(spec, **{cls.field: theta * math.exp(s)})
+                .log_weight_rows(kind, [eps], dist.n_max)[0][keep] for s in (h, -h))
+    fd = (up - down) / (2.0 * h)
+    score = spec.ln_theta_score(dist)[keep]
+    fd -= p @ fd
+    score -= p @ score
+    assert np.max(np.abs(score - fd)) <= 1e-8 * max(1.0, np.max(np.abs(score)))

@@ -61,7 +61,7 @@ def ref_fisher(dist, hold):
     n = np.arange(dist.n_max + 1, dtype=float)[mask]
     d = dist.spec.eps_score(dist.params, dist.n_max)[mask]
     if hold == "mean_photon":
-        t = dist.spec.intensity_score(dist.params, dist.n_max)[mask]
+        t = dist.spec.ln_theta_score(dist)[mask]
         nc = n - float(pm @ n)
         cov_nd = float(pm @ (nc * (d - float(pm @ d))))
         cov_nt = float(pm @ (nc * (t - float(pm @ t))))
