@@ -17,10 +17,11 @@ epsilon = 0), and the removable singularity of [n] at epsilon = 0 is
 evaluated through expm1/log1p, with epsilon = 0 special-cased to the
 undeformed limits.  The epsilon-derivatives cancel near epsilon = 0 in
 closed form, so there a Taylor series takes over (dlog_q_number_values).
-The level vectors of the last (kind, epsilons) asked about are kept, one
-row per epsilon, and grown by new segments only (_Levels): a calibrated
-point evaluates one epsilon at many intensities, and every weight row,
-single or lockstep, reads its levels from them.
+The level vectors of the last (kind, epsilon) asked about are kept and
+grown by new segments only (_Levels): a calibrated point evaluates one
+epsilon at many intensities.  Every weight row reads its levels from
+_Levels; the rows of many epsilons that a lockstep likelihood asks for
+are computed by the same code and not kept.
 The product forms and small-epsilon expansions that the tests check these
 values against are not part of this module.
 """
@@ -78,15 +79,18 @@ class DeformationParams:
 def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
     """ln|e^x - 1| written over the float array x: expm1, abs and log of every
     entry, then x + ln(1 - e^-x) from a copy of the entries above 33, where
-    e^x may overflow.  Each step is elementwise, bit for bit per branch."""
-    big = x > 33.0
-    xb = x[big]
+    e^x may overflow (looked for only when the largest entry is above 33).
+    Each step is elementwise, bit for bit per branch."""
+    big = x > 33.0 if x.size and x.max() > 33.0 else None
+    if big is not None:
+        xb = x[big]
     with np.errstate(over="ignore", divide="ignore"):
         np.expm1(x, out=x)
         np.abs(x, out=x)
         np.log(x, out=x)
-    xb += np.log1p(-np.exp(-xb))
-    x[big] = xb
+    if big is not None:
+        xb += np.log1p(-np.exp(-xb))
+        x[big] = xb
     return x
 
 
@@ -108,35 +112,40 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
     if out is None:
         out = np.empty((eps.size, n_max + 1 - start))
     first = max(start, 1)
-    out[:, : first - start] = -np.inf
+    if start < first:
+        out[:, 0] = -np.inf
     if n_max < first:
         return out
-    j = np.arange(first, n_max + 1, dtype=float)
-    L = np.array([math.log1p(e) for e in eps])[:, None]
-    if kind is DeformationKind.M:
-        den = eps
-        body = _log_abs_expm1(j * L)
+    el = eps.tolist()  # scalar math on each epsilon, as on one alone
+    dens = el if kind is DeformationKind.M else [e * (2.0 + e) for e in el]
+    L = np.fromiter(map(math.log1p, el), float, len(el))[:, None]
+    if 0.0 in el:
+        log_den = np.array([math.log(abs(d)) if d else 0.0 for d in dens])[:, None]
     else:
-        den = eps * (2.0 + eps)
-        body = _log_abs_expm1(2.0 * j * L)
+        log_den = np.fromiter(map(math.log, map(abs, dens)), float, len(el))[:, None]
+    j = np.arange(first, n_max + 1, dtype=float)
+    body = out[:, first - start:]
+    if kind is DeformationKind.M:
+        _log_abs_expm1(np.multiply(j, L, out=body))
+    else:
+        _log_abs_expm1(np.multiply(2.0 * j, L, out=body))
         body += (1.0 - j) * L
-    log_den = np.array([math.log(abs(d)) if d else 0.0 for d in den])[:, None]
-    np.subtract(body, log_den, out=out[:, first - start:])
-    zero = eps == 0.0
-    if zero.any():
-        out[zero, first - start:] = np.log(j)
+    body -= log_den
+    if 0.0 in el:
+        body[eps == 0.0] = np.log(j)
     return out
 
 
 class _Levels:
     """gamma_j = [j] and ln Delta_j for j = 0..n, one row per epsilon of eps.
 
-    Only the last (kind, eps) asked about is kept (_levels), since between
-    the Newton iterates of a calibrated point only the intensity changes.
-    Each vector is grown on demand by its new columns only: _log_q_rows
-    writes their ln [j] into the grown buffer from a start column, gamma
-    exponentiates them in place, and ln Delta continues each row's
-    cumulative sum from its last kept entry.
+    Only the last single epsilon asked about is kept (_levels), since
+    between the Newton iterates of a calibrated point only the intensity
+    changes.  Each vector is grown on demand by its new columns only:
+    _log_q_rows writes their ln [j] into the grown buffer from a start
+    column, gamma exponentiates them in place, and ln Delta continues each
+    row's cumulative sum from its last kept entry (a new vector is that
+    run from column 0, each sum from 0).
     Every entry is elementwise or a sequential sum along its row, so each
     row has the bits of a fresh evaluation of its epsilon alone.  The arrays
     are read-only; the public functions return copies.  Callers in two
@@ -146,32 +155,40 @@ class _Levels:
 
     def __init__(self, kind: DeformationKind, eps: np.ndarray) -> None:
         self.kind, self.eps, self.key = kind, eps, (kind, eps.tobytes())
-        self._gamma = self._log_delta = np.zeros((len(eps), 1))
-        self._gamma.flags.writeable = False
+        self._gamma = self._log_delta = None
 
     def _grow(self, name: str, n_max: int, fill) -> np.ndarray:
         """Rows `name` for j = 0..n_max.  Longer rows are one new buffer:
-        _log_q_rows writes ln [j] into it from the last kept column on (one
-        contiguous block for a new key), and fill(run, last) turns that run
-        into values, given the last kept column."""
+        _log_q_rows writes ln [j] into it from the last kept column on, and
+        fill(run, last) turns that run into values, given the last kept
+        column."""
         if n_max < 0:
             raise DomainError("n_max must be >= 0")
         have = getattr(self, name)
-        width = have.shape[1]
-        if width <= n_max:
+        if have is None:
+            have = _log_q_rows(self.kind, self.eps, n_max)
+            fill(have, 0.0)
+        elif have.shape[1] <= n_max:
+            width = have.shape[1]
             grown = np.empty((len(self.eps), n_max + 1))
             grown[:, :width - 1] = have[:, :-1]
-            run = _log_q_rows(self.kind, self.eps, n_max, width - 1, out=grown[:, width - 1:])
-            with np.errstate(over="ignore"):  # gamma_j beyond float range is +inf
-                fill(run, have[:, -1:])
-            grown.flags.writeable = False
-            setattr(self, name, grown)
+            fill(_log_q_rows(self.kind, self.eps, n_max, width - 1, out=grown[:, width - 1:]),
+                 have[:, -1:])
             have = grown
-        return have[:, : n_max + 1]
+        else:
+            return have[:, : n_max + 1]
+        have.flags.writeable = False
+        setattr(self, name, have)
+        return have
 
     def gamma(self, n_max: int) -> np.ndarray:
-        # exp of ln [j] at the last kept column gives its kept entry back, bit for bit
-        return self._grow("_gamma", n_max, lambda run, last: np.exp(run, out=run))
+        def fill(run, last):
+            # exp of ln [j] at the last kept column gives its kept entry back,
+            # bit for bit; gamma_j beyond float range is +inf
+            with np.errstate(over="ignore"):
+                np.exp(run, out=run)
+
+        return self._grow("_gamma", n_max, fill)
 
     def log_delta(self, n_max: int) -> np.ndarray:
         def fill(run, last):  # each running sum continues from its last kept entry
@@ -185,11 +202,17 @@ _last_levels: Optional[_Levels] = None
 
 
 def _levels(kind: DeformationKind, eps) -> _Levels:
-    """The kept level rows of (kind, eps), one per epsilon of the sequence
-    eps, replacing those of any other key.  The key holds the bits of every
-    epsilon, so -0.0 and 0.0 are kept apart."""
+    """The level rows of (kind, eps), one per epsilon of the sequence eps.
+
+    Rows of one epsilon are kept, replacing those of any other key; the key
+    holds the bits of the epsilon, so -0.0 and 0.0 are kept apart.  Rows of
+    several epsilons, which only lockstep likelihoods ask for, each call at
+    new epsilons, are computed fresh and not kept: they leave the kept rows
+    of the last build in place."""
     global _last_levels
     eps = np.array(eps, dtype=float)
+    if len(eps) != 1:
+        return _Levels(kind, eps)
     kept = _last_levels
     if kept is None or kept.key != (kind, eps.tobytes()):
         kept = _last_levels = _Levels(kind, eps)

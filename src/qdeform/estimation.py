@@ -180,7 +180,9 @@ def calibrate_intensity(
     (|alpha|^2 < 1/|epsilon|): the bound closes the bracket from above, and
     a start past it moves to half of it.  Raises DomainError when the target
     lies beyond every float intensity, DivergenceError when the iteration
-    stalls or runs out.
+    stalls or runs out; running out, its message names the exit (the
+    bracket collapsed onto one float, or the iteration limit), the builds
+    made and the best relative residual reached.
     """
     if not (math.isfinite(mean_target) and mean_target > 0):
         raise DomainError(f"mean_target must be positive, got {mean_target}")
@@ -196,11 +198,15 @@ def calibrate_intensity(
         hi = x - math.log(rate * -eps)
         if x >= hi:
             current = replace(spec, **{field: math.exp(hi - math.log(2.0))})
-    for _ in range(_CALIBRATION_MAX_ITER):
+    scale = max(1.0, mean_target)
+    best = math.inf  # smallest |mean - mean_target| reached
+    stop = "the iteration limit was reached"
+    for builds in range(1, _CALIBRATION_MAX_ITER + 1):
         dist = build_distribution(current, params, tol)
         mean = mean_photon(dist)
-        if abs(mean - mean_target) <= _CALIBRATION_RTOL * max(1.0, mean_target):
+        if abs(mean - mean_target) <= _CALIBRATION_RTOL * scale:
             return current
+        best = min(best, abs(mean - mean_target))
         mask, pm, n = _masked(dist)
         theta = getattr(current, field)
         x = math.log(theta)
@@ -228,9 +234,14 @@ def calibrate_intensity(
                     f"mean photon number {mean_target} is out of reach: {field} "
                     f"would have to leave [e^-{_LN_INTENSITY_BOUND:g}, e^{_LN_INTENSITY_BOUND:g}]"
                 )
-            break  # the bracket has collapsed onto one float
+            stop = f"the bracket collapsed onto one float ({field} = {theta!r})"
+            break
         current = replace(current, **{field: theta_new})
-    raise DivergenceError(f"intensity calibration did not converge for target {mean_target}")
+    raise DivergenceError(
+        f"intensity calibration did not converge for target {mean_target} after "
+        f"{builds} builds: {stop}; best relative residual {best / scale:.2g}, "
+        f"tolerance {_CALIBRATION_RTOL:g}"
+    )
 
 
 def classical_fisher(

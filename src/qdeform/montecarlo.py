@@ -9,19 +9,22 @@ information of that same fixed-intensity family.
 
 Lockstep fits: crb_benchmark runs the golden-section searches of all its
 replications together.  Each step evaluates every still-active replication,
-each at its own epsilon, as one (rows x support) array of log-probabilities;
-the 9-point coarse scan and the first two golden points are the same for
-every replication, so they are computed once.  mle_epsilon is the same
-search with one sample.  Batching must not change a single bit: with
-xtol = 1e-10 the search resolves epsilon below the likelihood's rounding
-floor, so a re-associated sum would move the estimates.  Every row of
-log-probabilities is therefore computed exactly as a lone evaluation would
-be.  The bookkeeping is array steps: per kernel chunk, one fancy index
-gathers every requested row's observed entries from a padded (samples x
-distinct outcomes) matrix of observed n, and one row minimum checks them
-against the probability floor.  Each replication's log-likelihood stays its
-own 1-D dot counts @ ln p[observed] over its first k gathered entries, the
-same product on the same contiguous values as a lone evaluation.
+each at its own epsilon, in one likelihood call; the 9-point coarse scan
+and the first two golden points are the same for every replication, so
+they are computed once.  mle_epsilon is the same search with one sample.
+Batching must not change a single bit: with xtol = 1e-10 the search
+resolves epsilon below the likelihood's rounding floor, so a re-associated
+sum would move the estimates.  Every row of log-weights is therefore
+computed exactly as a lone evaluation would be, once per distinct epsilon,
+and a step costs a fixed number of array operations whatever the number
+of replications: the brackets move by np.where, one kernel call computes
+the rows, one fancy index gathers each replication's observed entries from
+its row, and one subtraction normalizes just those.  What grows with the
+replications is two scalar logs per row, for its epsilon's constants, and
+each replication's log-likelihood: its own 1-D dot counts @ ln p[observed]
+over its first k gathered entries, the same product on the same
+contiguous values as a lone evaluation.  The counts of every replication
+are drawn from one inverse-CDF table of the true distribution.
 
 Reproducibility: replication streams are derived from the root seed by
 counter (one 64-bit sub-seed per replication index), so identical inputs
@@ -45,7 +48,7 @@ from .states import (
     PhotonDistribution,
     ProbeSpec,
     _check_normalizable,
-    _fixed_support_log_prob_rows,
+    _fixed_support_weight_rows,
     build_distribution,
 )
 
@@ -104,26 +107,35 @@ class CrbBenchmark:
     failed: int = 0
 
 
+def _cdf(dist: PhotonDistribution) -> np.ndarray:
+    """The inverse-CDF table of a distribution, renormalized to end at 1."""
+    cdf = np.cumsum(dist.probs / dist.probs.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _draw_counts(cdf: np.ndarray, shots: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The observed outcomes n, ascending, and how often each was drawn, of
+    `shots` inverse-CDF draws from the stream of `seed`."""
+    u = np.random.default_rng(seed).random(shots)
+    u.sort()
+    # Draw u has outcome n = #{j : cdf[j] <= u}, so the draws with outcome
+    # <= n are exactly those below cdf[n] (every draw lies below the final
+    # 1.0): a search of cdf in the sorted draws gives the cumulative counts.
+    below = np.searchsorted(u, cdf)
+    below[1:] -= below[:-1]
+    ns = np.flatnonzero(below)
+    return ns, below[ns]
+
+
 def sample_counts(dist: PhotonDistribution, shots: int, seed: int) -> CountSample:
     """Draw i.i.d. Fock outcomes by inverse CDF; deterministic given seed."""
     if shots <= 0:
         raise DomainError(f"shots must be positive, got {shots}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    p = dist.probs / dist.probs.sum()
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    u = np.sort(np.random.default_rng(seed).random(shots))
-    # Draw u has outcome n = #{j : cdf[j] <= u}, so the draws with outcome
-    # <= n are exactly those below cdf[n] (every draw lies below the final
-    # 1.0): a search of cdf in the sorted draws gives the cumulative counts.
-    mult = np.diff(np.searchsorted(u, cdf), prepend=0)
-    values = np.flatnonzero(mult)
-    return CountSample(
-        counts=dict(zip(values.tolist(), mult[values].tolist())),
-        shots=shots,
-        seed=seed,
-    )
+    ns, mult = _draw_counts(_cdf(dist), shots, seed)
+    return CountSample(counts=dict(zip(ns.tolist(), mult.tolist())), shots=shots, seed=seed)
 
 
 def _counts_arrays(sample: CountSample) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,20 +144,35 @@ def _counts_arrays(sample: CountSample) -> Tuple[np.ndarray, np.ndarray]:
     return ns, cs
 
 
+def _distinct(eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(uniq, which): the distinct values of eps, and the position of each
+    entry's value in uniq.  All distinct, as at every golden step but a rare
+    one, uniq is eps itself, found without a sort.  Values that compare
+    equal are one value: 0.0 and -0.0 give the same row."""
+    if len(set(eps.tolist())) == len(eps):
+        return eps, np.arange(len(eps))
+    return np.unique(eps, return_inverse=True)
+
+
 class _Likelihoods:
     """Fixed-support log-likelihoods of several count samples, row-batched.
 
     Sample r is scored over its own support, max(n_support, largest observed
     n).  `outcomes` holds every sample's observed n, padded to one width
     with the sample's own first outcome, so padding never changes a row's
-    minimum.  A call computes each distinct (support, epsilon) row of
-    log-probabilities once; per kernel chunk it gathers every requested
-    row's observed entries in one step and checks them against the
-    probability floor in one step.  Each value is then the 1-D dot
-    counts @ row[:k] over the row's first k gathered entries, k the
-    sample's number of distinct outcomes: the same contiguous values a lone
-    evaluation multiplies, hence the same bits.  A product over the padded
-    rows would re-associate those sums.
+    minimum.  A call computes the row of log-weights and its ln Z of each
+    distinct (support, epsilon) once, in kernel calls of at most
+    _ROW_BUDGET entries.  When every sample shares one support and the
+    rows fit one kernel call, the usual case, the rest of the call is a
+    fixed number of array steps over all requests: one fancy index gathers
+    the observed entries of each request's row, one subtraction of ln Z
+    normalizes them (the rest of the row is never normalized), and one
+    minimum checks them all against the probability floor; only a call
+    that finds an entry below it looks for the rows.  Each value is then
+    the 1-D dot counts @ row[:k] over the row's first k gathered entries, k
+    the sample's number of distinct outcomes: the same contiguous values a
+    lone evaluation multiplies, hence the same bits.  A product over the
+    padded rows would re-associate those sums.
     """
 
     def __init__(
@@ -156,14 +183,34 @@ class _Likelihoods:
         n_support: int,
     ) -> None:
         self.spec, self.kind = spec, kind
-        self.counts = [cs for _, cs in samples]
-        self.widths = [len(ns) for ns, _ in samples]
-        self.outcomes = np.empty((len(samples), max(self.widths)), dtype=np.intp)
+        self.terms = [(cs, len(ns)) for ns, cs in samples]  # counts, and their number
+        self.outcomes = np.empty((len(samples), max(k for _, k in self.terms)), dtype=np.intp)
         for r, (ns, _) in enumerate(samples):
             self.outcomes[r] = ns[0]
             self.outcomes[r, :len(ns)] = ns
         self.supports = np.maximum(self.outcomes.max(axis=1), n_support)
+        supports = set(self.supports.tolist())
+        self.support = supports.pop() if len(supports) == 1 else None  # shared by all
         self.failures: Dict[int, OutOfSupportError] = {}
+
+    def _kernel_calls(self, eps: np.ndarray, reps: np.ndarray):
+        """(support, distinct epsilons, row of each request, request positions)
+        for each kernel call."""
+        if self.support is not None:
+            groups = [(self.support, slice(None))]
+        else:
+            supports = self.supports[reps]
+            groups = [(n, np.flatnonzero(supports == n)) for n in np.unique(supports).tolist()]
+        for n, at in groups:
+            uniq, which = _distinct(eps[at])
+            chunk = max(1, _ROW_BUDGET // (n + 1))
+            if len(uniq) <= chunk:
+                yield n, uniq, which, at
+                continue
+            at = np.arange(len(reps))[at]
+            for start in range(0, len(uniq), chunk):
+                here = np.flatnonzero((which >= start) & (which < start + chunk))
+                yield n, uniq[start:start + chunk], which[here] - start, at[here]
 
     def __call__(self, eps: np.ndarray, reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Log-likelihood of sample reps[i] at eps[i], and whether it exists.
@@ -172,33 +219,30 @@ class _Likelihoods:
         below the probability floor, the OutOfSupportError goes to
         self.failures, which keeps each sample's earliest failing row.
         """
-        values = np.full(len(reps), np.nan)
-        floored_n = np.full(len(reps), -1)  # an observed n below the floor, else -1
-        supports = self.supports[reps]
-        for n in np.unique(supports).tolist():
-            rows = np.flatnonzero(supports == n)
-            uniq, which = np.unique(eps[rows], return_inverse=True)
-            chunk = max(1, _ROW_BUDGET // (n + 1))
-            for start in range(0, len(uniq), chunk):
-                lp = _fixed_support_log_prob_rows(
-                    self.spec, self.kind, uniq[start:start + chunk], n)
-                here = (which >= start) & (which < start + chunk)
-                idx = rows[here]
-                owners = reps[idx]
-                obs = self.outcomes[owners]
-                lp_obs = lp[(which[here] - start)[:, None], obs]
-                floored = lp_obs.min(axis=1) < _LOG_SUPPORT_FLOOR
-                floored_n[idx[floored]] = obs[floored, np.argmin(lp_obs[floored], axis=1)]
-                values[idx[~floored]] = [
-                    np.dot(self.counts[r], row[:self.widths[r]])
-                    for r, row, low in zip(owners.tolist(), lp_obs, floored.tolist())
-                    if not low]
-        for i in np.flatnonzero(floored_n >= 0).tolist():
+        values = np.empty(len(reps))
+        floored: Dict[int, int] = {}  # request position -> an observed n below the floor
+        if not len(reps):
+            return values, np.ones(0, dtype=bool)
+        for n, uniq, which, at in self._kernel_calls(eps, reps):
+            lnw, norm = _fixed_support_weight_rows(self.spec, self.kind, uniq, n)
+            owners = reps[at]
+            obs = self.outcomes[owners]
+            lp = lnw[which[:, None], obs]
+            lp -= norm[which][:, None]
+            values[at] = [cs.dot(row[:k]) for (cs, k), row
+                          in zip(map(self.terms.__getitem__, owners.tolist()), lp)]
+            if lp.min() < _LOG_SUPPORT_FLOOR:  # rare: which rows, and their lowest outcome
+                low = np.flatnonzero(lp.min(axis=1) < _LOG_SUPPORT_FLOOR)
+                floored.update(zip(np.arange(len(reps))[at][low].tolist(),
+                                   obs[low, lp[low].argmin(axis=1)].tolist()))
+        ok = np.ones(len(reps), dtype=bool)
+        for i in sorted(floored):
+            values[i], ok[i] = math.nan, False
             self.failures.setdefault(int(reps[i]), OutOfSupportError(
-                f"observed outcome n={int(floored_n[i])} has "
+                f"observed outcome n={floored[i]} has "
                 f"probability below 1e-300 at epsilon={float(eps[i])}"
             ))
-        return values, floored_n < 0
+        return values, ok
 
 
 def _golden_section(
@@ -208,28 +252,31 @@ def _golden_section(
 
     Each sample follows exactly the iterates of a lone search; one whose
     likelihood fails anywhere gets None (the error is in loglik.failures).
+    The brackets of the searches still running are arrays, one entry per
+    search, updated by np.where on which side each step keeps; a search
+    that stops leaves them.  All searches start together and step together,
+    so the step count is one number.
     """
     # Divergent epsilons form a half-line below some threshold, and every
     # iterate lies in [a, b], so the whole search is normalizable iff a is.
     _check_normalizable(loglik.spec, DeformationParams(loglik.kind, a))
-    count = len(loglik.counts)
-    alive = np.ones(count, dtype=bool)
+    count = len(loglik.terms)
 
     def shared(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Every sample at each point: (count, len(points)) values and ok flags."""
         values, ok = loglik(np.tile(points, count), np.repeat(np.arange(count), len(points)))
-        values, ok = values.reshape(count, -1), ok.reshape(count, -1)
-        alive[:] = ok.all(axis=1)
-        return values, ok
+        return values.reshape(count, -1), ok.reshape(count, -1)
 
     if a == b:
-        values, _ = shared(np.array([a]))
+        values, ok = shared(np.array([a]))
+        alive = ok[:, 0]
         return [MleResult(a, float(values[r, 0]), True, 0) if alive[r] else None
                 for r in range(count)]
 
     c0, d0 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     coarse = np.linspace(a, b, 9)
     values, ok = shared(np.append(coarse, [c0, d0]))
+    alive = ok.all(axis=1)
     coarse_ll = values[:, :9]
     peaks = sum(
         (coarse_ll[:, i] >= coarse_ll[:, i - 1]) & (coarse_ll[:, i] >= coarse_ll[:, i + 1])
@@ -239,27 +286,35 @@ def _golden_section(
         warnings.warn("log-likelihood appears non-unimodal on the bracket",
                       RuntimeWarning, stacklevel=3)
 
-    lo, hi = np.full(count, a), np.full(count, b)
-    c, d = np.full(count, c0), np.full(count, d0)
-    fc, fd = values[:, 9].copy(), values[:, 10].copy()
+    # Each search's final bracket and step count, written as it stops.
+    final_lo, final_hi = np.full(count, a), np.full(count, b)
     iterations = np.zeros(count, dtype=int)
-    while True:
-        active = np.flatnonzero(alive & ((hi - lo) > _XTOL) & (iterations < _MAX_ITER))
-        if not active.size:
-            break
-        left = fc[active] >= fd[active]
-        i, j = active[left], active[~left]
-        hi[i], d[i], fd[i] = d[i], c[i], fc[i]
-        c[i] = hi[i] - _GOLDEN * (hi[i] - lo[i])
-        lo[j], c[j], fc[j] = c[j], d[j], fd[j]
-        d[j] = lo[j] + _GOLDEN * (hi[j] - lo[j])
-        new, ok = loglik(np.where(left, c[active], d[active]), active)
-        alive[active] = ok
-        fc[i], fd[j] = new[left], new[~left]
-        iterations[active] += 1
+    ids = np.flatnonzero(alive) if b - a > _XTOL else np.arange(0)
+    lo, hi, c, d = (np.full(len(ids), v) for v in (a, b, c0, d0))
+    fc, fd = values[ids, 9], values[ids, 10]
+    steps = 0
+    while ids.size:
+        left = fc >= fd  # keep [lo, d]: d becomes c and c a new point
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        span = hi - lo
+        inner = _GOLDEN * span
+        point = np.where(left, hi - inner, lo + inner)
+        c, d = np.where(left, point, d), np.where(left, c, point)
+        new, ok = loglik(point, ids)
+        fc, fd = np.where(left, new, fd), np.where(left, fc, new)
+        steps += 1
+        going = ok & (span > _XTOL)
+        if steps == _MAX_ITER:
+            going[:] = False
+        if going.all():
+            continue
+        stop = ids[~going]
+        alive[stop[~ok[~going]]] = False
+        final_lo[stop], final_hi[stop], iterations[stop] = lo[~going], hi[~going], steps
+        ids, lo, hi, c, d, fc, fd = (v[going] for v in (ids, lo, hi, c, d, fc, fd))
 
-    converged = (hi - lo) <= _XTOL
-    eps_hat = 0.5 * (lo + hi)
+    converged = (final_hi - final_lo) <= _XTOL
+    eps_hat = 0.5 * (final_lo + final_hi)
     ids = np.flatnonzero(alive)
     ll_hat = np.full(count, np.nan)
     ll_hat[ids], alive[ids] = loglik(eps_hat[ids], ids)
@@ -375,7 +430,9 @@ def crb_benchmark(
         )
     n_support = _bracket_support(spec, kind, a, b, tol)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, np.uint64)
-    samples = [_counts_arrays(sample_counts(dist, shots, int(s))) for s in rep_seeds]
+    cdf = _cdf(dist)
+    samples = [(ns, mult.astype(float))
+               for ns, mult in (_draw_counts(cdf, shots, s) for s in rep_seeds.tolist())]
     results = _golden_section(_Likelihoods(spec, kind, samples, n_support), a, b)
     estimates = [r.epsilon_hat for r in results if r is not None and r.converged]
     failed = replications - len(estimates)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Type, Union
+from typing import ClassVar, Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class _Probe:
     log_weight_rows(kind, eps, n_max, start=0, out=None)
                                         ln w_n for n = start..n_max, one row
                                         per epsilon, read from algebra's
-                                        kept level rows; written into out
+                                        level rows; written into out
                                         (rows x columns) when one is given
     eps_score(params, n_max)            d ln w_n / d epsilon
     ln_theta_score(dist)                d ln w_n / d ln theta up to a constant
@@ -295,19 +295,22 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     The maxima are split out of the sum, log1p(sum_{a != max} e^(a - max) / m)
     + ln m + max with m the number of maxima, so results match scipy bit for
     bit (golden-section MLE resolves epsilon finely enough to see the last
-    bit).
+    bit).  Every NaN-free row has a maximum, so where the maxima number one
+    per row, m = 1 and the division and ln m change no bit: they are skipped.
     """
     a = np.asarray(a, dtype=float)
-    a_max = np.max(a, axis=-1, keepdims=True)
+    a_max = a.max(axis=-1, keepdims=True)
     at_max = a == a_max
-    # count_nonzero with an axis is no faster, and its int count slows the float ops below
-    m = at_max.sum(axis=-1, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = a - a_max  # one buffer: the maxima are set to e^-inf, the rest exponentiated
         np.copyto(e, -np.inf, where=at_max)
         np.exp(e, out=e)
-        s = np.sum(e, axis=-1, keepdims=True)
-        return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
+        s = e.sum(axis=-1)
+        a_max = a_max[..., 0]
+        if np.count_nonzero(at_max) == s.size:
+            return np.log1p(s) + a_max
+        m = at_max.sum(axis=-1, dtype=float)
+        return np.log1p(s / m) + np.log(m) + a_max
 
 
 def _initial_n_max(n0: float) -> int:
@@ -560,13 +563,14 @@ def mean_photon_expansion(
     return _probe(spec).mean_expansion(params, regime)
 
 
-def _fixed_support_log_prob_rows(
+def _fixed_support_weight_rows(
     spec: ProbeSpec,
     kind: DeformationKind,
     eps: np.ndarray,
     n_support: int,
-) -> np.ndarray:
-    """ln p_n for n = 0..n_support, one row per epsilon in `eps`.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """ln w_n for n = 0..n_support, one row per epsilon in `eps`, and each
+    row's ln Z, so that ln p_n = ln w_n - ln Z.
 
     Plumbing for likelihood evaluation, where nearby states must share one
     outcome support.  The caller checks normalizability and sizes n_support
@@ -576,9 +580,24 @@ def _fixed_support_log_prob_rows(
     """
     lnw = spec.log_weight_rows(kind, eps, n_support)
     cols = lnw[:, ::spec.step]
+    if np.isfinite(cols).all():
+        return lnw, _logsumexp(cols)
     finite = np.isfinite(cols).all(axis=1)
     norm = np.empty(len(lnw))
     norm[finite] = _logsumexp(cols[finite])
     for r in np.flatnonzero(~finite):
         norm[r] = _logsumexp(lnw[r][np.isfinite(lnw[r])])
-    return lnw - norm[:, None]
+    return lnw, norm
+
+
+def _fixed_support_log_prob_rows(
+    spec: ProbeSpec,
+    kind: DeformationKind,
+    eps: np.ndarray,
+    n_support: int,
+) -> np.ndarray:
+    """ln p_n for n = 0..n_support, one row per epsilon in `eps`, from
+    _fixed_support_weight_rows."""
+    lnw, norm = _fixed_support_weight_rows(spec, kind, eps, n_support)
+    lnw -= norm[:, None]
+    return lnw

@@ -444,10 +444,11 @@ class TestLevelMemo:
         assert algebra._levels(P, [2e-3]) is not second  # the kind joins the key
         assert algebra._levels(P, [-0.0]) is not algebra._levels(P, [0.0])
         assert algebra._levels(M, [1e-3]) is not first  # first was dropped
-        rows = algebra._levels(M, [1e-3, 2e-3])  # a sequence is one key
-        assert algebra._levels(M, np.array([1e-3, 2e-3])) is rows
-        assert algebra._levels(M, [2e-3, 1e-3]) is not rows
-        assert algebra._levels(M, [1e-3]) is not rows
+        kept = algebra._levels(M, [1e-3])
+        rows = algebra._levels(M, [1e-3, 2e-3])  # several epsilons: fresh rows
+        assert algebra._levels(M, np.array([1e-3, 2e-3])) is not rows
+        assert algebra._last_levels is kept  # which leave the kept row in place
+        assert algebra._levels(M, [1e-3]) is kept
 
     def test_clear_drops_the_kept_vectors(self):
         from qdeform.states import build_distribution

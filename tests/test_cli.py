@@ -290,6 +290,16 @@ class TestExitCodes:
         assert row["mean_photon"] == pytest.approx(200.0, rel=1e-12)
         assert row["fisher"] > 0.0
 
+    def test_calibration_failure_explains_itself_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "qsnr", "--family", "coherent", "--kind", "M",
+                                 "--epsilons", "1e-3", "--n-values", "1e5")
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "qdeform: numerical error: intensity calibration did not converge for target "
+            "100000.0 after 29 builds: the bracket collapsed onto one float")
+        assert "best relative residual" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.filterwarnings("error")
     def test_unreachable_calibration_target_exit_2(self, capsys):
         # The P thermal mean grows only like ln(1/beta); 5000 photons at

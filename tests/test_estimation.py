@@ -3,6 +3,7 @@ leading-order table, scaling exponents, and configuration plumbing."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,27 @@ class TestCalibration:
     def test_exhausted_iterations_are_a_divergence_error(self, monkeypatch):
         monkeypatch.setattr(estimation, "_CALIBRATION_MAX_ITER", 2)
         with pytest.raises(DivergenceError, match="did not converge"):
+            calibrate_intensity(ThermalSpec.from_mean_photon(200.0),
+                                DeformationParams(P, 0.3), 200.0)
+
+    def test_collapsed_bracket_explains_itself(self):
+        # At N = 1e5 the computed mean wobbles by about 1e-11 relative
+        # between neighbouring floats of |alpha|^2, so the Newton bracket
+        # closes onto one float before the 1e-12 tolerance is met.
+        with pytest.raises(DivergenceError) as caught:
+            calibrate_intensity(CoherentSpec(1e5), DeformationParams(M, 1e-3), 1e5)
+        message = str(caught.value)
+        assert message.startswith(
+            "intensity calibration did not converge for target 100000.0 after 29 builds: "
+            "the bracket collapsed onto one float (alpha_sq = ")
+        residual = float(re.search(r"best relative residual (\S+),", message).group(1))
+        assert 1e-12 < residual < 1e-10
+        assert message.endswith("tolerance 1e-12")
+
+    def test_exhausted_iterations_say_so(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_CALIBRATION_MAX_ITER", 2)
+        with pytest.raises(DivergenceError, match=r"after 2 builds: the iteration limit "
+                                                  r"was reached; best relative residual"):
             calibrate_intensity(ThermalSpec.from_mean_photon(200.0),
                                 DeformationParams(P, 0.3), 200.0)
 

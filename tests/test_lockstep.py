@@ -258,7 +258,7 @@ class TestFailureCatch:
         def broken(*args, **kwargs):
             raise RuntimeError("broken invariant")
 
-        monkeypatch.setattr(mc, "_fixed_support_log_prob_rows", broken)
+        monkeypatch.setattr(mc, "_fixed_support_weight_rows", broken)
         with pytest.raises(RuntimeError, match="broken invariant"):
             crb_benchmark(ThermalSpec.from_mean_photon(5.0), M, 5e-3, shots=500,
                           replications=50, seed=1)
