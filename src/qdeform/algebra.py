@@ -42,10 +42,8 @@ __all__ = [
     "DeformationParams",
     "q_number",
     "log_delta",
-    "log_delta_values",
     "dlog_q_number_values",
     "dlog_delta_values",
-    "gamma_values",
     "dgamma_values",
 ]
 
@@ -225,11 +223,6 @@ def _clear_levels() -> None:
     _last_levels = None
 
 
-def log_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:
-    """ln Delta_n = sum_{j<=n} ln [j] for n = 0..n_max (Delta_0 = 1)."""
-    return _levels(params.kind, [params.epsilon]).log_delta(n_max)[0].copy()
-
-
 # Taylor coefficients of K(u) = 1 + c_1 u + sum_k c_2k u^2k, the function in
 # dlog_q_number_values: c_1 = 1/2 and c_2k = B_2k / (2k)! for M, where
 # K(u) = u / (1 - e^-u); c_1 = 0 and c_2k = 4^k B_2k / (2k)! for P, where
@@ -307,51 +300,37 @@ def dlog_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
 
 
 def dlog_delta_values(params: DeformationParams, n_max: int) -> np.ndarray:
-    """d/d epsilon of ln Delta_n for n = 0..n_max."""
-    dq = dlog_q_number_values(params, n_max)
-    out = np.zeros(n_max + 1)
-    if n_max >= 1:
-        out[1:] = np.cumsum(dq[1:])
-    return out
-
-
-def gamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
-    """Level coefficients gamma_n = [n] for n = 0..n_max, linear domain.
-
-    Entries overflow to +inf once [n] exceeds float range; callers that
-    exponentiate -beta*gamma treat those levels as zero-weight.
-    """
-    return _levels(params.kind, [params.epsilon]).gamma(n_max)[0].copy()
+    """d/d epsilon of ln Delta_n for n = 0..n_max: the running sum of
+    d ln [j] / d epsilon, whose entry 0 is 0."""
+    return np.cumsum(dlog_q_number_values(params, n_max))
 
 
 def dgamma_values(params: DeformationParams, n_max: int) -> np.ndarray:
-    """d/d epsilon of gamma_n for n = 0..n_max (gamma_0 = 0 identically)."""
-    dq = dlog_q_number_values(params, n_max)
-    dg = _levels(params.kind, [params.epsilon]).gamma(n_max)[0] * dq
-    dg[0] = 0.0
-    return dg
+    """d/d epsilon of gamma_n = [n] for n = 0..n_max: the kept gamma row times
+    d ln [n] / d epsilon, whose entries 0 are both 0."""
+    gamma = _levels(params.kind, [params.epsilon]).gamma(n_max)[0]
+    return gamma * dlog_q_number_values(params, n_max)
 
 
 def q_number(params: DeformationParams, n: int) -> float:
     """The q-number [n] for the given deformation; [0] = 0, [1] = 1.
 
-    At epsilon = 0 the undeformed limit [n] = n is returned exactly.
+    At epsilon = 0 the undeformed limit [n] = n is returned exactly; else
+    e^(ln [n]) of column n of _log_q_rows, the gamma_n of every build bit
+    for bit, and +inf where [n] exceeds the float range.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n == 0:
         return 0.0
-    eps = params.epsilon
-    if eps == 0.0:
+    if params.epsilon == 0.0:
         return float(n)
-    L = math.log1p(eps)
-    if params.kind is DeformationKind.M:
-        return math.expm1(n * L) / eps
-    return math.exp((1.0 - n) * L) * math.expm1(2.0 * n * L) / (eps * (2.0 + eps))
+    with np.errstate(over="ignore"):
+        return float(np.exp(_log_q_rows(params.kind, [params.epsilon], n, n)[0, 0]))
 
 
 def log_delta(params: DeformationParams, n: int) -> float:
     """ln Delta_n, the log of the deformed factorial; log_delta(., 0) = 0."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    return float(log_delta_values(params, n)[n])
+    return float(_levels(params.kind, [params.epsilon]).log_delta(n)[0, n])

@@ -74,7 +74,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _add_common(parser: argparse.ArgumentParser, epsilon: bool = True) -> None:
     parser.add_argument("--kind", required=True, choices=["M", "P"],
-                        help="deformation kind")
+                        help="deformation kind; under P photon counting sees only "
+                             "|ln q|, so epsilon and -epsilon/(1+epsilon) give the "
+                             "same counts")
     if epsilon:
         parser.add_argument("--epsilon", required=True, type=float,
                             help="deformation strength (must be > -1); use "

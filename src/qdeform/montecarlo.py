@@ -255,34 +255,26 @@ def _golden_section(
     The brackets of the searches still running are arrays, one entry per
     search, updated by np.where on which side each step keeps; a search
     that stops leaves them.  All searches start together and step together,
-    so the step count is one number.
+    so the step count is one number.  At a == b every point is a: no step
+    runs, each result is a, converged, and the coarse scan, whose entries
+    all tie, does not warn.
     """
     # Divergent epsilons form a half-line below some threshold, and every
     # iterate lies in [a, b], so the whole search is normalizable iff a is.
     _check_normalizable(loglik.spec, DeformationParams(loglik.kind, a))
     count = len(loglik.terms)
-
-    def shared(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Every sample at each point: (count, len(points)) values and ok flags."""
-        values, ok = loglik(np.tile(points, count), np.repeat(np.arange(count), len(points)))
-        return values.reshape(count, -1), ok.reshape(count, -1)
-
-    if a == b:
-        values, ok = shared(np.array([a]))
-        alive = ok[:, 0]
-        return [MleResult(a, float(values[r, 0]), True, 0) if alive[r] else None
-                for r in range(count)]
-
     c0, d0 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     coarse = np.linspace(a, b, 9)
-    values, ok = shared(np.append(coarse, [c0, d0]))
+    points = np.append(coarse, [c0, d0])  # the coarse scan and the first two inner points
+    values, ok = loglik(np.tile(points, count), np.repeat(np.arange(count), len(points)))
+    values, ok = values.reshape(count, -1), ok.reshape(count, -1)
     alive = ok.all(axis=1)
     coarse_ll = values[:, :9]
     peaks = sum(
         (coarse_ll[:, i] >= coarse_ll[:, i - 1]) & (coarse_ll[:, i] >= coarse_ll[:, i + 1])
         for i in range(1, 8)
     )
-    for _ in np.flatnonzero(ok[:, :9].all(axis=1) & (peaks > 1)):
+    for _ in np.flatnonzero(ok[:, :9].all(axis=1) & (peaks > 1) & (b > a)):
         warnings.warn("log-likelihood appears non-unimodal on the bracket",
                       RuntimeWarning, stacklevel=3)
 

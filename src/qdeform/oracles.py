@@ -23,6 +23,9 @@ the tests do.
                                  and gamma_n
   cat_normalization_crosscheck   the cat normalization from the
                                  alternating-sum formula and directly
+  m_zero_information             F at M, eps = 0 from 50-digit moment sums of
+                                 the undeformed law, where the score is a
+                                 polynomial in n
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .states import (
     PhotonDistribution,
     ProbeSpec,
     _check_normalizable,
-    _fixed_support_log_prob_rows,
+    _fixed_support_weight_rows,
     _probe,
     build_distribution,
     mean_photon,
@@ -60,6 +63,7 @@ __all__ = [
     "delta_series",
     "gamma_series",
     "cat_normalization_crosscheck",
+    "m_zero_information",
     "DerivativeInstabilityError",
 ]
 
@@ -100,7 +104,8 @@ def fixed_support_log_probs(
     if n_support < 0:
         raise DomainError("n_support must be >= 0")
     _check_normalizable(spec, params)
-    return _fixed_support_log_prob_rows(spec, params.kind, [params.epsilon], n_support)[0]
+    lnw, norm = _fixed_support_weight_rows(spec, params.kind, [params.epsilon], n_support)
+    return lnw[0] - norm[0]
 
 
 def log_likelihood(
@@ -288,3 +293,44 @@ def cat_normalization_crosscheck(
     w_formula = 2.0 * (1.0 + c_minus / c_plus)
     w_direct = 4.0 * s_even / c_plus
     return w_formula, w_direct
+
+
+def m_zero_information(spec: ProbeSpec, hold: str = "mean_photon") -> float:
+    """F of photon counting at M, epsilon = 0, from 50-digit sums.
+
+    There the epsilon-score d is a polynomial in n: -n(n-1)/4 for coherent
+    and cat probes, -(beta/2) n^2 for thermal ones, and the intensity score
+    t is affine in n.  So F is Var_p[d] at hold="intensity" and
+    Var_p[d] - Cov[n, d]^2 / Var[n] at hold="mean_photon", with p the
+    undeformed law: Poisson, even-Poisson or geometric.  A coherent probe at
+    |alpha|^2 = N gives N^3/4 + N^2/8 and N^2/8.  The sums run until the
+    terms w_n (n + 1)^4 fall below 1e-60 of the weight summed so far.
+    """
+    import mpmath as mp
+
+    if hold not in ("mean_photon", "intensity"):
+        raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
+    _probe(spec)
+    with mp.workdps(50):
+        if spec.pure:
+            x = mp.mpf(spec.alpha_sq)
+            ratio, score = (lambda n: x / n), (lambda n: -n * (n - 1) / 4)
+        else:
+            half_beta = mp.mpf(spec.beta) / 2
+            r = mp.exp(-2 * half_beta)
+            ratio, score = (lambda n: r), (lambda n: -half_beta * n * n)
+        sums = [mp.mpf(0)] * 6  # of w, w n, w n^2, w d, w d^2, w n d
+        w, n, tiny = mp.mpf(1), 0, mp.mpf(10) ** -60
+        while w * (n + 1) ** 4 >= tiny * sums[0]:
+            if n % spec.step == 0:
+                d = score(mp.mpf(n))
+                for k, v in enumerate((1, n, n * n, d, d * d, n * d)):
+                    sums[k] += w * v
+            n += 1
+            w *= ratio(n)
+        z = sums[0]
+        mean_n, mean_d = sums[1] / z, sums[3] / z
+        var_n = sums[2] / z - mean_n ** 2
+        var_d = sums[4] / z - mean_d ** 2
+        cov = sums[5] / z - mean_n * mean_d
+        return float(var_d if hold == "intensity" else var_d - cov ** 2 / var_n)

@@ -170,7 +170,7 @@ class CoherentSpec(_AlphaSqProbe):
         eps, x = params.epsilon, self.alpha_sq
         if params.kind is DeformationKind.M:
             return x - 0.5 * eps * x * x
-        return x - 0.5 * eps * eps * (x * x + x**3 / 3.0)
+        return x - 0.5 * eps * eps * (x * x + x * x * x / 3.0)
 
 
 @dataclass(frozen=True)
@@ -588,16 +588,3 @@ def _fixed_support_weight_rows(
     for r in np.flatnonzero(~finite):
         norm[r] = _logsumexp(lnw[r][np.isfinite(lnw[r])])
     return lnw, norm
-
-
-def _fixed_support_log_prob_rows(
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    eps: np.ndarray,
-    n_support: int,
-) -> np.ndarray:
-    """ln p_n for n = 0..n_support, one row per epsilon in `eps`, from
-    _fixed_support_weight_rows."""
-    lnw, norm = _fixed_support_weight_rows(spec, kind, eps, n_support)
-    lnw -= norm[:, None]
-    return lnw

@@ -36,7 +36,7 @@ from qdeform.states import (
     mean_photon,
     mean_photon_expansion,
 )
-from qdeform.algebra import log_delta_values
+from qdeform.algebra import log_delta
 from qdeform.oracles import g_product, qfi_pure
 
 M, P = DeformationKind.M, DeformationKind.P
@@ -282,8 +282,8 @@ class TestCriterion9AlgebraOracle:
             for eps in (0.1, -0.1, 1e-3, -1e-3, 1e-6, -1e-6):
                 e = Fraction(eps)
                 q = 1 + e
-                ld_m = log_delta_values(DeformationParams(M, eps), 30)
-                ld_p = log_delta_values(DeformationParams(P, eps), 30)
+                ld_m = [log_delta(DeformationParams(M, eps), n) for n in range(31)]
+                ld_p = [log_delta(DeformationParams(P, eps), n) for n in range(31)]
                 for n in range(31):
                     g_plain = Fraction(1)
                     g_minus = Fraction(1)
@@ -302,12 +302,12 @@ class TestCriterion9AlgebraOracle:
                     assert abs(ld_p[n] - ln_p) < 1e-8
             # Delta_n(eps -> 0) -> n! to 1e-9 relative
             for kind in (M, P):
-                ld = log_delta_values(DeformationParams(kind, 1e-12), 30)
+                ld = [log_delta(DeformationParams(kind, 1e-12), n) for n in range(31)]
                 for n in range(31):
                     assert abs(ld[n] - math.lgamma(n + 1)) < 1e-9
             # the float g-product oracle agrees away from the cancellation zone
             for eps in (0.1, -0.1):
-                ld = log_delta_values(DeformationParams(M, eps), 30)
+                ld = [log_delta(DeformationParams(M, eps), n) for n in range(31)]
                 for n in range(31):
                     closed = (-1.0 / eps) ** n * g_product(1 + eps, 1 + eps, n)
                     assert math.exp(ld[n]) == pytest.approx(closed, rel=1e-10)

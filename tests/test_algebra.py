@@ -9,6 +9,7 @@ rational/Decimal evaluation pinned as a golden constant.
 import functools
 import itertools
 import math
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -18,12 +19,11 @@ import pytest
 from qdeform.algebra import (
     DeformationKind,
     DeformationParams,
+    _levels,
     _log_abs_expm1,
     dlog_delta_values,
     dlog_q_number_values,
-    gamma_values,
     log_delta,
-    log_delta_values,
     q_number,
 )
 from qdeform.errors import DomainError
@@ -69,6 +69,43 @@ class TestQNumber:
         values = [q_number(pr, n) for n in range(1, 31)]
         assert all(v > 0 for v in values)
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("kind", [M, P])
+    @pytest.mark.parametrize("eps", [0.5, -0.3, 2.0, 0.05, -0.05, 1e-3, -1e-3, 1e-9])
+    def test_equals_the_kept_gamma_row(self, kind, eps):
+        # One route to [n]: the gamma_n that every build reads, bit for bit,
+        # +inf included.
+        row = _levels(kind, [eps]).gamma(4000)[0]
+        ns = np.random.default_rng(7).choice(4001, size=300, replace=False)
+        got = np.array([q_number(params(kind, eps), int(n)) for n in ns])
+        assert got.tobytes() == row[ns].tobytes()
+
+    def test_finite_where_only_an_intermediate_overflows(self):
+        # q^(2n) = 1.5^2000 overflows; [1000] itself is about 1.48e176.
+        assert q_number(params(P, 0.5), 1000) == 1.4806087162874103e+176
+
+    @pytest.mark.parametrize("kind, eps", [(M, 0.5), (P, 0.5), (M, 2.0), (P, -0.3),
+                                           (P, 0.05), (M, 0.05)])
+    def test_inf_exactly_past_the_float_range(self, kind, eps):
+        # [n] against 50 digits across the n where it leaves the float range:
+        # +inf past it, finite below it, down to where q^(2n) alone leaves
+        # it.  e^x turns the rounding of x = ln [n], a few ulps of |x|, into
+        # relative error (measured up to 1.6 u |x|, 1.1e-13 near the top of
+        # the range).
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            q = 1 + mp.mpf(eps)
+            top = int(mp.log(sys.float_info.max) / abs(mp.log(q)))  # [top] near the max
+            for n in range(max(1, top // 2 - 50), top + 200, max(1, top // 400)):
+                if kind is M:
+                    exact = (q ** n - 1) / (q - 1)
+                else:
+                    exact = (q ** n - q ** -n) / (q - 1 / q)
+                got = q_number(params(kind, eps), n)
+                assert math.isinf(got) == (exact > sys.float_info.max), n
+                if not math.isinf(got):
+                    bound = 4.0 * sys.float_info.epsilon * max(1.0, float(mp.log(exact)))
+                    assert abs(got - exact) <= bound * exact, n
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -121,7 +158,7 @@ class TestLogDelta:
         e = Fraction(eps)
         q = 1 + e
         pr = params(M, eps)
-        ld = log_delta_values(pr, 30)
+        ld = [log_delta(pr, n) for n in range(31)]
         getcontext().prec = 50
         for n in range(0, 31):
             g = Fraction(1)
@@ -142,7 +179,7 @@ class TestLogDelta:
         e = Fraction(eps)
         q = 1 + e
         pr = params(P, eps)
-        ld = log_delta_values(pr, 30)
+        ld = [log_delta(pr, n) for n in range(31)]
         getcontext().prec = 50
         for n in range(0, 31):
             g_minus = Fraction(1)
@@ -167,7 +204,7 @@ class TestLogDelta:
     @pytest.mark.parametrize("kind", [M, P])
     def test_continuity_at_zero(self, kind):
         pr = params(kind, 1e-12)
-        ld = log_delta_values(pr, 30)
+        ld = [log_delta(pr, n) for n in range(31)]
         for n in range(31):
             assert abs(ld[n] - math.lgamma(n + 1)) < 1e-9
 
@@ -251,7 +288,7 @@ class TestDerivativeArrays:
                 assert dd[n] == 0.0
 
     def test_gamma_values_overflow_to_inf(self):
-        g = gamma_values(params(M, 0.5), 3000)
+        g = _levels(M, [0.5]).gamma(3000)[0]
         assert g[0] == 0.0
         assert np.isinf(g[-1])
 
@@ -461,7 +498,7 @@ class TestLevelMemo:
     @pytest.mark.parametrize("kind, eps", [(M, 1e-3), (P, -2e-2), (P, 0.0)])
     def test_returned_arrays_are_fresh(self, kind, eps):
         pr = params(kind, eps)
-        functions = (log_q_number_values, log_delta_values, gamma_values, dgamma_values)
+        functions = (log_q_number_values, dgamma_values)
         before = [f(pr, 300).copy() for f in functions]
         for f in functions:
             values = f(pr, 300)

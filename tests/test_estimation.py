@@ -1,6 +1,7 @@
 """Estimation-theory tests: F = H identities, derivative validation,
 leading-order table, scaling exponents, and configuration plumbing."""
 
+import functools
 import math
 import os
 import re
@@ -375,6 +376,44 @@ def test_large_support_bits_do_not_depend_on_blas_threads():
         outputs.append(proc.stdout)
     assert int(outputs[0].split()[0]) > 10_000
     assert outputs[0] == outputs[1]
+
+
+ZERO_CASES = [(family, n) for family in ("coherent", "thermal", "cat") for n in (1, 10, 100)]
+
+
+@functools.lru_cache(maxsize=None)
+def exact_zero_information(family, n, hold):
+    pytest.importorskip("mpmath")
+    return oracles.m_zero_information(spec_for(family, n), hold)
+
+
+class TestExactZeroInformation:
+    # At M, eps = 0 the epsilon-score is a polynomial in n and F a moment of
+    # the undeformed law, summed in 50 digits by the oracle.
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_oracle_gives_the_coherent_closed_forms(self, n):
+        assert exact_zero_information("coherent", n, "intensity") == n**3 / 4 + n**2 / 8
+        assert exact_zero_information("coherent", n, "mean_photon") == n**2 / 8
+
+    @pytest.mark.parametrize("hold", ["intensity", "mean_photon"])
+    @pytest.mark.parametrize("family, n", ZERO_CASES)
+    def test_fisher_at_a_fine_tolerance(self, family, n, hold):
+        # Measured: at most 1.6e-14 (coherent, cat) and 6.7e-13 (thermal).
+        want = exact_zero_information(family, n, hold)
+        got = classical_fisher(spec_for(family, n), M, 0.0, tol=1e-18, hold=hold)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the default tol certifies the "
+                       "probability mass only, not the Fisher sum")
+    def test_fisher_at_the_default_tolerance(self):
+        # Off by up to 5.0e-9 (coherent), 1.1e-9 (cat) and 1.3e-7 (thermal,
+        # mean_photon) at tol = 1e-12.
+        for family, n in ZERO_CASES:
+            for hold in ("intensity", "mean_photon"):
+                want = exact_zero_information(family, n, hold)
+                got = classical_fisher(spec_for(family, n), M, 0.0, hold=hold)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (family, n, hold)
 
 
 class TestLeadingOrderTable:

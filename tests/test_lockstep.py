@@ -25,7 +25,7 @@ from qdeform.states import (
     CoherentSpec,
     ThermalSpec,
     _check_normalizable,
-    _fixed_support_log_prob_rows,
+    _fixed_support_weight_rows,
     _logsumexp,
     build_distribution,
 )
@@ -193,7 +193,8 @@ class TestKernelRows:
     def test_rows_equal_single_epsilon_calls(self, spec, kind, n_support):
         eps = [e for e in EPSILONS
                if not (kind is M and e < 0 and isinstance(spec, ThermalSpec))]
-        rows = _fixed_support_log_prob_rows(spec, kind, np.array(eps), n_support)
+        lnw, ln_z = _fixed_support_weight_rows(spec, kind, np.array(eps), n_support)
+        rows = lnw - ln_z[:, None]
         assert rows.shape == (len(eps), n_support + 1)
         for row, e in zip(rows, eps):
             params = DeformationParams(kind, e)
@@ -208,7 +209,7 @@ class TestKernelRows:
         params = DeformationParams(kind, 2e-3)
         larger = type(spec).from_mean_photon(3.0 * spec.n0)
         build_distribution(spec, params)
-        _fixed_support_log_prob_rows(spec, kind, np.array([1e-4, 2e-3, 0.05]), 700)
+        _fixed_support_weight_rows(spec, kind, np.array([1e-4, 2e-3, 0.05]), 700)
         second = build_distribution(larger, params)
         build_distribution.cache_clear()
         fresh = build_distribution(larger, params)

@@ -246,6 +246,15 @@ class TestMeanPhoton:
                                                 regime="small") - 0.3 * math.tanh(0.3)
             assert abs(approx_corr - exact_corr) <= rel * abs(exact_corr)
 
+    @pytest.mark.parametrize("regime", ["large", "small"])
+    @pytest.mark.parametrize("kind", [M, P])
+    @pytest.mark.parametrize("cls", [CoherentSpec, ThermalSpec, CatSpec])
+    def test_expansion_at_huge_intensity_is_a_float(self, cls, kind, regime):
+        # |alpha|^2 = 1e150: a cubed intensity leaves the float range, and
+        # the expansion overflows to -inf instead of raising OverflowError.
+        value = mean_photon_expansion(cls.from_mean_photon(1e150), params(kind, 1e-3), regime)
+        assert isinstance(value, float) and not math.isnan(value)
+
     def test_expansion_regime_validation(self):
         with pytest.raises(DomainError):
             mean_photon_expansion(CoherentSpec(1.0), params(M, 0.0), regime="medium")
