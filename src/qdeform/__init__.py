@@ -16,7 +16,6 @@ from .errors import (
 from .estimation import (
     EstimationReport,
     calibrate_intensity,
-    classical_fisher,
     estimation_report,
     leading_order_qsnr,
     measurements_needed,
@@ -57,7 +56,6 @@ __all__ = [
     "mean_photon",
     "mean_photon_expansion",
     "EstimationReport",
-    "classical_fisher",
     "qsnr",
     "measurements_needed",
     "leading_order_qsnr",

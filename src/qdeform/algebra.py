@@ -28,6 +28,7 @@ values against are not part of this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -137,7 +138,7 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
 class _Levels:
     """gamma_j = [j] and ln Delta_j for j = 0..n, one row per epsilon of eps.
 
-    Only the last single epsilon asked about is kept (_levels), since
+    Only the last single epsilon asked about is kept (_kept_levels), since
     between the Newton iterates of a calibrated point only the intensity
     changes.  Each vector is grown on demand by its new columns only:
     _log_q_rows writes their ln [j] into the grown buffer from a start
@@ -152,7 +153,7 @@ class _Levels:
     """
 
     def __init__(self, kind: DeformationKind, eps: np.ndarray) -> None:
-        self.kind, self.eps, self.key = kind, eps, (kind, eps.tobytes())
+        self.kind, self.eps = kind, eps
         self._gamma = self._log_delta = None
 
     def _grow(self, name: str, n_max: int, fill) -> np.ndarray:
@@ -196,31 +197,24 @@ class _Levels:
         return self._grow("_log_delta", n_max, fill)
 
 
-_last_levels: Optional[_Levels] = None
-
-
 def _levels(kind: DeformationKind, eps) -> _Levels:
     """The level rows of (kind, eps), one per epsilon of the sequence eps.
 
-    Rows of one epsilon are kept, replacing those of any other key; the key
-    holds the bits of the epsilon, so -0.0 and 0.0 are kept apart.  Rows of
-    several epsilons, which only lockstep likelihoods ask for, each call at
-    new epsilons, are computed fresh and not kept: they leave the kept rows
-    of the last build in place."""
-    global _last_levels
+    Rows of one epsilon are kept (_kept_levels), replacing those of any
+    other epsilon.  Rows of several epsilons, which only lockstep
+    likelihoods ask for, each call at new epsilons, are computed fresh and
+    not kept: they leave the kept rows of the last build in place."""
     eps = np.array(eps, dtype=float)
     if len(eps) != 1:
         return _Levels(kind, eps)
-    kept = _last_levels
-    if kept is None or kept.key != (kind, eps.tobytes()):
-        kept = _last_levels = _Levels(kind, eps)
-    return kept
+    return _kept_levels(kind, eps.tobytes())
 
 
-def _clear_levels() -> None:
-    """Drop the kept level vectors."""
-    global _last_levels
-    _last_levels = None
+@functools.lru_cache(maxsize=1)
+def _kept_levels(kind: DeformationKind, eps_bytes: bytes) -> _Levels:
+    """The rows of one epsilon, keyed on its bits, so -0.0 and 0.0 are kept
+    apart."""
+    return _Levels(kind, np.frombuffer(eps_bytes))
 
 
 # Taylor coefficients of K(u) = 1 + c_1 u + sum_k c_2k u^2k, the function in

@@ -59,7 +59,6 @@ from .states import (
 
 __all__ = [
     "EstimationReport",
-    "classical_fisher",
     "qsnr",
     "measurements_needed",
     "leading_order_qsnr",
@@ -126,6 +125,19 @@ def _score_variance(pm: np.ndarray, s: np.ndarray) -> float:
     return _dot(pm, s)
 
 
+def _cov_n(pm: np.ndarray, n: np.ndarray, *xs: np.ndarray) -> list:
+    """Cov_pm[n, x] for each x, as E[(x - E[x]) (n - E[n])]: n is centered
+    in place, and one work buffer holds each product in turn."""
+    n -= _dot(pm, n)
+    work = np.empty_like(n)
+    covs = []
+    for x in xs:
+        np.subtract(x, _dot(pm, x), out=work)
+        work *= n
+        covs.append(_dot(pm, work))
+    return covs
+
+
 def _analytic_score(dist: PhotonDistribution, hold: str):
     """(pm, s): the epsilon-score on the masked support, per the hold
     convention, as a new array that the caller may overwrite."""
@@ -137,13 +149,7 @@ def _analytic_score(dist: PhotonDistribution, hold: str):
     if hold != "mean_photon":
         raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
     tm = dist.spec.ln_theta_score(dist)[mask]
-    n -= _dot(pm, n)
-    work = np.subtract(dm, _dot(pm, dm))
-    work *= n
-    cov_nd = _dot(pm, work)
-    np.subtract(tm, _dot(pm, tm), out=work)
-    work *= n
-    cov_nt = _dot(pm, work)
+    cov_nd, cov_nt = _cov_n(pm, n, dm, tm)
     if abs(cov_nt) < 1e-290:
         # Frozen family (e.g. near-vacuum): no intensity response to cancel.
         return pm, dm
@@ -210,11 +216,7 @@ def calibrate_intensity(
         mask, pm, n = _masked(dist)
         theta = getattr(current, field)
         x = math.log(theta)
-        u = current.ln_theta_score(dist)[mask]
-        u -= _dot(pm, u)
-        n -= _dot(pm, n)
-        u *= n
-        slope = _dot(pm, u)  # d mean / d x = Cov[n, u]
+        (slope,) = _cov_n(pm, n, current.ln_theta_score(dist)[mask])  # d mean / d x = Cov[n, t]
         if not (math.isfinite(slope) and slope != 0.0):
             raise DivergenceError(
                 f"intensity calibration stalled: flat mean response at {field} = {theta}"
@@ -242,17 +244,6 @@ def calibrate_intensity(
         f"{builds} builds: {stop}; best relative residual {best / scale:.2g}, "
         f"tolerance {_CALIBRATION_RTOL:g}"
     )
-
-
-def classical_fisher(
-    spec: ProbeSpec,
-    kind: DeformationKind,
-    epsilon: float,
-    tol: float = DEFAULT_TOL,
-    hold: str = "mean_photon",
-) -> float:
-    """Classical Fisher information of photon counting for estimating epsilon."""
-    return _fisher(build_distribution(spec, DeformationParams(kind, epsilon), tol), hold)
 
 
 def qsnr(epsilon: float, qfi: float) -> float:

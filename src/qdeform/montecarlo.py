@@ -34,6 +34,7 @@ give bit-identical benchmarks.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -79,6 +80,14 @@ class CountSample:
     def __post_init__(self) -> None:
         if self.shots <= 0:
             raise DomainError(f"shots must be positive, got {self.shots}")
+        for n, mult in self.counts.items():
+            try:  # operator.index takes numpy integers too
+                scorable = operator.index(n) >= 0 and operator.index(mult) > 0
+            except TypeError:
+                scorable = False
+            if not scorable:
+                raise DomainError(f"outcomes must be non-negative integers and multiplicities "
+                                  f"positive integers, got {n!r}: {mult!r}")
         if sum(self.counts.values()) != self.shots:
             raise DomainError("count multiplicities must sum to shots")
 
@@ -327,15 +336,6 @@ def _bracket_support(spec: ProbeSpec, kind: DeformationKind, a: float, b: float,
                for e in (a, b))
 
 
-def _ordered_bracket(bracket: Tuple[float, float]) -> Tuple[float, float]:
-    a, b = float(bracket[0]), float(bracket[1])
-    if a > b:
-        a, b = b, a
-    if a <= -1.0:
-        raise DomainError(f"bracket must lie inside epsilon > -1, got {bracket}")
-    return a, b
-
-
 def mle_epsilon(
     sample: CountSample,
     spec: ProbeSpec,
@@ -350,7 +350,7 @@ def mle_epsilon(
     epsilon.  A coarse 9-point scan warns (but does not fail) when the
     objective looks non-unimodal; the best point found is still returned.
     """
-    a, b = _ordered_bracket(bracket)
+    a, b = sorted((float(bracket[0]), float(bracket[1])))
     loglik = _Likelihoods(spec, kind, [_counts_arrays(sample)],
                           _bracket_support(spec, kind, a, b, tol))
     (result,) = _golden_section(loglik, a, b)
@@ -411,14 +411,13 @@ def crb_benchmark(
         )
     crb = 1.0 / (shots * fisher)
     half = max(0.02, 20.0 / math.sqrt(shots * fisher))
-    lo = max(epsilon_true - half, -0.5, _min_admissible_epsilon(spec, kind))
-    hi = min(epsilon_true + half, 0.5)
-    a, b = _ordered_bracket((lo, hi))
+    floor = _min_admissible_epsilon(spec, kind)
+    a = max(epsilon_true - half, -0.5, floor)
+    b = min(epsilon_true + half, 0.5)
     if not a < epsilon_true < b:
         raise DomainError(
             f"epsilon_true = {epsilon_true} lies outside the MLE bracket ({a}, {b}): "
-            f"the search is clipped to [-0.5, 0.5] and to the admissible minimum "
-            f"{_min_admissible_epsilon(spec, kind)}"
+            f"the search is clipped to [-0.5, 0.5] and to the admissible minimum {floor}"
         )
     n_support = _bracket_support(spec, kind, a, b, tol)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, np.uint64)

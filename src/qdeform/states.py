@@ -50,7 +50,7 @@ import numpy as np
 from .algebra import (
     DeformationKind,
     DeformationParams,
-    _clear_levels,
+    _kept_levels,
     _levels,
     dgamma_values,
     dlog_delta_values,
@@ -454,7 +454,7 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
 def _clear_kept() -> None:
     """Drop the kept build and the kept level vectors of algebra."""
     _build_last.cache_clear()
-    _clear_levels()
+    _kept_levels.cache_clear()
 
 
 build_distribution.cache_clear = _clear_kept

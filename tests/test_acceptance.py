@@ -23,7 +23,7 @@ from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DivergenceError
 from qdeform.estimation import (
     calibrate_intensity,
-    classical_fisher,
+    estimation_report,
     measurements_needed,
     qsnr,
 )
@@ -66,7 +66,7 @@ def _spec_for(family, intensity):
 
 def _qfi(spec, kind, eps):
     if isinstance(spec, ThermalSpec):
-        return classical_fisher(spec, kind, eps)
+        return estimation_report(spec, kind, eps).fisher
     return qfi_pure(spec, kind, eps)
 
 
@@ -218,10 +218,10 @@ class TestCriterion7FisherEqualsQfi:
                             if family == "thermal" and kind is M and eps < 0:
                                 # non-normalizable: bounded M spectrum
                                 with pytest.raises(DivergenceError):
-                                    classical_fisher(spec, kind, eps)
+                                    estimation_report(spec, kind, eps)
                                 excluded += 1
                                 continue
-                            f = classical_fisher(spec, kind, eps)
+                            f = estimation_report(spec, kind, eps).fisher
                             h = _qfi(spec, kind, eps)
                             assert h > 0
                             assert abs(f - h) / h < 1e-6

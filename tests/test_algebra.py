@@ -27,7 +27,7 @@ from qdeform.algebra import (
     q_number,
 )
 from qdeform.errors import DomainError
-from qdeform.estimation import classical_fisher
+from qdeform.estimation import estimation_report
 from qdeform.oracles import delta_series, g_product, gamma_series, log_q_number_values
 from qdeform.states import CoherentSpec
 
@@ -405,7 +405,7 @@ class TestMpmathOracle:
             z = mp.fsum(w)
             mean = mp.fsum(a * s for a, s in zip(w, score)) / z
             want = float(mp.fsum(a * (s - mean) ** 2 for a, s in zip(w, score)) / z)
-        got = classical_fisher(CoherentSpec(alpha_sq), P, eps, hold="intensity")
+        got = estimation_report(CoherentSpec(alpha_sq), P, eps, hold="intensity").fisher
         assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
@@ -477,14 +477,16 @@ class TestLevelMemo:
         first = algebra._levels(M, [1e-3])
         assert algebra._levels(M, [1e-3]) is first
         second = algebra._levels(M, [2e-3])
-        assert second is not first and algebra._last_levels is second
+        assert second is not first and algebra._levels(M, [2e-3]) is second
+        assert algebra._kept_levels.cache_info().currsize == 1
         assert algebra._levels(P, [2e-3]) is not second  # the kind joins the key
         assert algebra._levels(P, [-0.0]) is not algebra._levels(P, [0.0])
         assert algebra._levels(M, [1e-3]) is not first  # first was dropped
         kept = algebra._levels(M, [1e-3])
+        info = algebra._kept_levels.cache_info()
         rows = algebra._levels(M, [1e-3, 2e-3])  # several epsilons: fresh rows
         assert algebra._levels(M, np.array([1e-3, 2e-3])) is not rows
-        assert algebra._last_levels is kept  # which leave the kept row in place
+        assert algebra._kept_levels.cache_info() == info  # which leave the kept row in place
         assert algebra._levels(M, [1e-3]) is kept
 
     def test_clear_drops_the_kept_vectors(self):
@@ -492,7 +494,7 @@ class TestLevelMemo:
 
         kept = algebra._levels(M, [1e-3])
         build_distribution.cache_clear()
-        assert algebra._last_levels is None
+        assert algebra._kept_levels.cache_info().currsize == 0
         assert algebra._levels(M, [1e-3]) is not kept
 
     @pytest.mark.parametrize("kind, eps", [(M, 1e-3), (P, -2e-2), (P, 0.0)])

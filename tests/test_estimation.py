@@ -17,7 +17,6 @@ from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DivergenceError, DomainError
 from qdeform.estimation import (
     calibrate_intensity,
-    classical_fisher,
     estimation_report,
     leading_order_qsnr,
     measurements_needed,
@@ -53,13 +52,11 @@ class TestFisherEqualsQfi:
         if family == "thermal" and kind is M and eps < 0:
             # non-normalizable corner: bounded spectrum, divergent Z
             with pytest.raises(DivergenceError):
-                classical_fisher(spec, kind, eps)
+                estimation_report(spec, kind, eps)
             return
-        fisher = classical_fisher(spec, kind, eps)
-        if family == "thermal":
-            qfi = classical_fisher(spec, kind, eps)
-        else:
-            qfi = qfi_pure(spec, kind, eps)
+        report = estimation_report(spec, kind, eps)
+        fisher = report.fisher
+        qfi = report.qfi if family == "thermal" else qfi_pure(spec, kind, eps)
         assert fisher >= 0.0
         assert qfi >= 0.0
         assert fisher <= qfi * (1 + 1e-8) + 1e-300
@@ -74,12 +71,12 @@ class TestFisherEqualsQfi:
 class TestDegenerateFamilies:
     def test_flat_family_p_at_zero(self):
         # P-deformation scores vanish at eps = 0: frozen family, F = 0.
-        assert classical_fisher(CoherentSpec(5.0), P, 0.0) == 0.0
+        assert estimation_report(CoherentSpec(5.0), P, 0.0).fisher == 0.0
         assert qfi_pure(CatSpec(5.0), P, 0.0) == 0.0
 
     def test_vacuum_limit(self):
         # beta -> inf: the state pins to the vacuum and carries no signal.
-        f = classical_fisher(ThermalSpec(beta=60.0), M, 1e-3)
+        f = estimation_report(ThermalSpec(beta=60.0), M, 1e-3).fisher
         assert f == pytest.approx(0.0, abs=1e-20)
 
 
@@ -90,7 +87,7 @@ class TestFiniteDifferenceValidation:
     def test_fd_matches_analytic(self, family, kind, hold):
         eps = 1e-3 if kind is M else 1e-2
         spec = spec_for(family, 8.0)
-        analytic = classical_fisher(spec, kind, eps, hold=hold)
+        analytic = estimation_report(spec, kind, eps, hold=hold).fisher
         fd, _ = fd_information(spec, kind, eps, hold=hold)
         assert fd == pytest.approx(analytic, rel=1e-6)
 
@@ -120,7 +117,7 @@ class TestFiniteDifferenceValidation:
             for n in (0.5, 1.0, 5.0, 20.0):
                 spec = spec_for(family, n)
                 fisher, qfi = fd_information(spec, kind, eps, hold=hold)
-                analytic = classical_fisher(spec, kind, eps, hold=hold)
+                analytic = estimation_report(spec, kind, eps, hold=hold).fisher
                 assert fisher == pytest.approx(analytic, rel=2e-6), (eps, n)
                 assert qfi == pytest.approx(analytic, rel=2e-6), (eps, n)
 
@@ -221,10 +218,10 @@ def test_thermal_eps_score_overflow_is_a_divergence_error():
     # leaves the float range between beta = 1e-301 and 1e-303, where beta
     # gamma_n is still about 6; F there is not finite, and no
     # floating-point warning escapes on the way to the error.
-    assert classical_fisher(ThermalSpec(1e-301), M, 0.01, hold="intensity") \
+    assert estimation_report(ThermalSpec(1e-301), M, 0.01, hold="intensity").fisher \
         == 6800942.265136878
     with pytest.raises(DivergenceError, match="epsilon score overflows"):
-        classical_fisher(ThermalSpec(1e-303), M, 0.01, hold="intensity")
+        estimation_report(ThermalSpec(1e-303), M, 0.01, hold="intensity")
 
 
 class TestCalibratedReport:
@@ -401,7 +398,7 @@ class TestExactZeroInformation:
     def test_fisher_at_a_fine_tolerance(self, family, n, hold):
         # Measured: at most 1.6e-14 (coherent, cat) and 6.7e-13 (thermal).
         want = exact_zero_information(family, n, hold)
-        got = classical_fisher(spec_for(family, n), M, 0.0, tol=1e-18, hold=hold)
+        got = estimation_report(spec_for(family, n), M, 0.0, tol=1e-18, hold=hold).fisher
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the default tol certifies the "
@@ -412,7 +409,7 @@ class TestExactZeroInformation:
         for family, n in ZERO_CASES:
             for hold in ("intensity", "mean_photon"):
                 want = exact_zero_information(family, n, hold)
-                got = classical_fisher(spec_for(family, n), M, 0.0, hold=hold)
+                got = estimation_report(spec_for(family, n), M, 0.0, hold=hold).fisher
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (family, n, hold)
 
 
@@ -435,7 +432,7 @@ class TestLeadingOrderTable:
         # The energy-calibrated Fisher information approaches N^2/8 exactly
         # as eps -> 0 for the M coherent probe.
         for n in [5.0, 20.0]:
-            f = classical_fisher(CoherentSpec(n), M, 1e-6)
+            f = estimation_report(CoherentSpec(n), M, 1e-6).fisher
             assert f == pytest.approx(n * n / 8.0, rel=1e-4)
 
     def test_richardson_extrapolation_toward_eighth(self):
@@ -513,8 +510,8 @@ class TestReport:
         # Fisher information exceeds the calibrated one by roughly 2N for
         # the M coherent probe.
         n = 20.0
-        f_cal = classical_fisher(CoherentSpec(n), M, 1e-4)
-        f_raw = classical_fisher(CoherentSpec(n), M, 1e-4, hold="intensity")
+        f_cal = estimation_report(CoherentSpec(n), M, 1e-4).fisher
+        f_raw = estimation_report(CoherentSpec(n), M, 1e-4, hold="intensity").fisher
         assert f_raw / f_cal == pytest.approx(2 * n + 1, rel=0.05)
 
 
@@ -574,12 +571,12 @@ class TestOneBuildReport:
     def test_fields_match_the_public_functions(self, family, kind, hold):
         spec, eps = spec_for(family, 6.0), 2e-3
         report = estimation_report(spec, kind, eps, hold=hold)
-        assert report.fisher == classical_fisher(spec, kind, eps, hold=hold)
         dist = build_distribution(spec, DeformationParams(kind, eps))
+        assert report.fisher == estimation._fisher(dist, hold)
         assert report.mean_photon == mean_photon(dist)
         assert report.qfi == report.fisher
-        qfi = classical_fisher if family == "thermal" else qfi_pure
-        assert qfi(spec, kind, eps, hold=hold) == pytest.approx(report.qfi, rel=1e-12)
+        if family != "thermal":
+            assert qfi_pure(spec, kind, eps, hold=hold) == pytest.approx(report.qfi, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["coherent", "thermal"])
     def test_fd_report_takes_one_stencil(self, monkeypatch, family):
@@ -594,7 +591,7 @@ class TestOneBuildReport:
         spec = spec_for(family, 6.0)
         fisher, qfi = fd_information(spec, M, 1e-3, hold="intensity")
         assert len(stencil_rows) == 5
-        analytic = classical_fisher(spec, M, 1e-3, hold="intensity")
+        analytic = estimation_report(spec, M, 1e-3, hold="intensity").fisher
         assert fisher == pytest.approx(analytic, rel=1e-6)
         if family == "thermal":
             assert qfi == fisher  # Fock-diagonal: H is the classical sum

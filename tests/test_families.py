@@ -24,12 +24,11 @@ from qdeform.errors import DivergenceError, DomainError
 from qdeform.estimation import (
     PROB_FLOOR,
     calibrate_intensity,
-    classical_fisher,
     estimation_report,
     family_class_of,
     leading_order_qsnr,
 )
-from qdeform.montecarlo import crb_benchmark
+from qdeform.montecarlo import CountSample, crb_benchmark, mle_epsilon
 from qdeform.oracles import (
     fd_information,
     fixed_support_log_probs,
@@ -60,6 +59,7 @@ REMOVED = (
     "thermal_distribution", "cat_distribution", "extend_truncation",
     "spec_from_dict", "distribution_from_dict", "report_from_dict", "benchmark_from_dict",
     "gamma_values", "log_delta_values", "_fixed_support_log_prob_rows",
+    "classical_fisher", "_ordered_bracket", "_last_levels", "_clear_levels",
 )
 MOVED_TO_ORACLES = ("qfi_pure", "log_likelihood_gradient", "fixed_support_log_probs",
                     "log_likelihood", "DerivativeInstabilityError", "log_q_number_values")
@@ -85,7 +85,7 @@ class TestConformance:
                     for attr in _exports(importlib.import_module(f"qdeform.{name}"))}
         assert set(qdeform.__all__) <= exported | {"__version__"}
         assert all(hasattr(qdeform, attr) for attr in qdeform.__all__)
-        assert len(qdeform.__all__) <= 30
+        assert len(qdeform.__all__) <= 29
 
     def test_removed_names_are_gone_from_production(self):
         production = [qdeform] + [importlib.import_module(f"qdeform.{name}")
@@ -150,7 +150,7 @@ class TestConformance:
         lambda s: fixed_support_log_probs(s, DeformationParams(M, 0.0), 10),
         lambda s: mean_photon_expansion(s, DeformationParams(M, 0.0)),
         lambda s: calibrate_intensity(s, DeformationParams(M, 0.0), 2.0),
-        lambda s: classical_fisher(s, M, 1e-3),
+        lambda s: mle_epsilon(CountSample({0: 1}, 1, 0), s, M, (0.0, 0.1)),
         lambda s: qfi_pure(s, M, 1e-3),
         lambda s: estimation_report(s, M, 1e-3),
         lambda s: family_class_of(s),
@@ -202,7 +202,7 @@ def test_probs_sum_to_one_minus_the_certified_tail(cls, kind, eps, n, tol):
 def test_fisher_is_nonnegative(cls, kind, eps, n, hold):
     spec = cls.from_mean_photon(n)
     assume(not _near_divergence(spec, kind, eps))
-    assert classical_fisher(spec, kind, eps, hold=hold) >= 0.0
+    assert estimation_report(spec, kind, eps, hold=hold).fisher >= 0.0
 
 
 @PROPERTY
@@ -242,7 +242,7 @@ def test_analytic_fisher_matches_finite_differences(cls, kind, size, negative, n
     eps = -size if negative else size
     spec = cls.from_mean_photon(n)
     assume(not _near_divergence(spec, kind, eps))
-    analytic = classical_fisher(spec, kind, eps, hold="intensity")
+    analytic = estimation_report(spec, kind, eps, hold="intensity").fisher
     fd, _ = fd_information(spec, kind, eps, hold="intensity")
     assert fd == pytest.approx(analytic, rel=1e-5)
 
@@ -318,5 +318,5 @@ def test_p_cannot_tell_q_from_its_inverse(cls, eps, n):
     if max(abs(eps), abs(mirror)) >= _SERIES_EPS:
         rtol += 16.0 * U / (eps * eps)
     for hold in ("intensity", "mean_photon"):
-        want = classical_fisher(spec, P, eps, hold=hold) * (1.0 + eps) ** 4
-        assert abs(classical_fisher(spec, P, mirror, hold=hold) - want) <= rtol * want
+        want = estimation_report(spec, P, eps, hold=hold).fisher * (1.0 + eps) ** 4
+        assert abs(estimation_report(spec, P, mirror, hold=hold).fisher - want) <= rtol * want

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qdeform import states
 from qdeform.algebra import DeformationKind, DeformationParams
 from qdeform.errors import DivergenceError, DomainError
-from qdeform.estimation import PROB_FLOOR, _masked, classical_fisher
+from qdeform.estimation import PROB_FLOOR, _masked, estimation_report
 from qdeform.states import CatSpec, CoherentSpec, ThermalSpec, build_distribution
 
 M, P = DeformationKind.M, DeformationKind.P
@@ -179,7 +179,8 @@ class TestMaskedViews:
         assert levels.tobytes() == np.arange(dist.n_max + 1, dtype=float)[plain].tobytes()
         score = spec.eps_score(pr, dist.n_max)
         assert score[mask].tobytes() == score[plain].tobytes()
-        assert classical_fisher(spec, kind, eps, hold=hold).hex() == ref_fisher(dist, hold).hex()
+        fisher = estimation_report(spec, kind, eps, hold=hold).fisher
+        assert fisher.hex() == ref_fisher(dist, hold).hex()
 
 
 def ref_certify(lnw_sup):

@@ -17,7 +17,7 @@ import pytest
 import qdeform.montecarlo as mc
 from qdeform.algebra import DeformationKind, DeformationParams, _log_q_rows
 from qdeform.errors import DivergenceError, OutOfSupportError
-from qdeform.estimation import classical_fisher
+from qdeform.estimation import estimation_report
 from qdeform.montecarlo import CrbBenchmark, MleResult, crb_benchmark, sample_counts
 from qdeform.oracles import fixed_support_log_probs
 from qdeform.states import (
@@ -137,7 +137,7 @@ def ref_mle(sample, spec, kind, a, b, n_support, xtol=1e-10, max_iter=200):
 
 
 def ref_crb(spec, kind, epsilon_true, shots, replications, seed):
-    fisher = classical_fisher(spec, kind, epsilon_true, 1e-12, hold="intensity")
+    fisher = estimation_report(spec, kind, epsilon_true, 1e-12, hold="intensity").fisher
     crb = 1.0 / (shots * fisher)
     half = max(0.02, 20.0 / math.sqrt(shots * fisher))
     lo = max(epsilon_true - half, -0.5, mc._min_admissible_epsilon(spec, kind))
@@ -175,7 +175,9 @@ def non_unimodal_count(fn):
 
 
 SPECS = [CoherentSpec(3.0), ThermalSpec.from_mean_photon(2.0), CatSpec(3.0)]
-EPSILONS = [-0.3, -1e-4, 0.0, 1e-4, 0.5]  # 0.5 overflows thermal gamma at 1200
+# Thermal weight rows leave the float range from n = 1747 (M) and 1748 (P)
+# at 0.5, and from n = 1987 at -0.3 (P): n_support 2000 has rows of both kinds.
+EPSILONS = [-0.3, -1e-4, 0.0, 1e-4, 0.5]
 
 
 class TestKernelRows:
@@ -187,7 +189,7 @@ class TestKernelRows:
         for row, e in zip(rows, eps):
             assert np.array_equal(row, ref_log_q_number_values(DeformationParams(kind, e), n_max))
 
-    @pytest.mark.parametrize("n_support", [40, 333, 1200])
+    @pytest.mark.parametrize("n_support", [40, 333, 1200, 2000])
     @pytest.mark.parametrize("kind", [M, P])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
     def test_rows_equal_single_epsilon_calls(self, spec, kind, n_support):
