@@ -29,6 +29,18 @@ Two parametrizations of the epsilon-family are exposed via `hold`:
       maximum-likelihood search over epsilon at known intensity actually
       explores, hence what the Cramer-Rao benchmark must use.
 
+calibrate_intensity solves the "mean_photon" intensity with one certified
+build per iterate, so its cost is its number of iterates.  Where |eps| N
+<= 1 (N the target), the regime of the QSNR table, it starts from the
+intensity whose leading-order mean (the family's mean_expansion) equals N
+to first order, and takes Halley steps in ln theta.  Their
+curvature E[(n - E n)(t - E t)^2] (+ Cov[n, t] for thermal probes, whose
+ln w is linear in beta) comes from the centred vectors of the slope
+Cov[n, t].  Beyond that regime it starts from the given spec and takes
+Newton steps: at |eps| N >> 1 the computed mean wobbles at its rounding
+floor between neighbouring intensities, so any other path changes which
+targets converge, and this one keeps those results.
+
 Every quantity here comes from the analytic score, summed over the levels
 with p_n above PROB_FLOOR.  When every level passes, as it does for thermal
 probes, the scores are taken whole, as views; the centering and the
@@ -72,9 +84,32 @@ PROB_FLOOR = 1e-30
 # level coefficients gamma_n overflow (beta * gamma_n reaches about e^9.8).
 _LN_INTENSITY_BOUND = 700.0
 # Calibration stops once the mean is within this relative tolerance of the
-# target, and gives up after this many Newton or bisection steps.
+# target, and gives up after this many builds.
 _CALIBRATION_RTOL = 1e-12
 _CALIBRATION_MAX_ITER = 60
+# The expansion start keeps its undeformed mean within this factor of the
+# target, which a leading-order correction of order one overshoots: at
+# |epsilon| N = 1 the thermal P start would be 4 N, where the solution lies
+# near 3.1 N.
+_START_FACTOR = 3.0
+
+
+def _expansion_start(probe, params: DeformationParams, target: float) -> float:
+    """ln theta at the first-order inverse of the family's leading-order
+    mean: the undeformed mean u = target - (expansion_at(target) - target),
+    kept within _START_FACTOR of the target.
+
+    One step, not the root of the truncated expansion: that root cost 9%
+    more builds over the benchmark's sweep-highN pool, since a quadratic or
+    cubic expansion turns over (the M coherent one at |epsilon| N = 1/2)
+    while the exact mean does not."""
+    regime = "large" if target >= 1.0 else "small"
+    u = 2.0 * target - probe.expansion_at(target, params, regime)
+    u = min(max(u, target / _START_FACTOR), target * _START_FACTOR)
+    if not 0.0 < u < math.inf:  # the expansion or the bounds left the floats
+        u = target
+    return min(max(math.log(probe.intensity_at(u)), -_LN_INTENSITY_BOUND),
+               _LN_INTENSITY_BOUND)
 
 
 @dataclass(frozen=True)
@@ -178,32 +213,45 @@ def calibrate_intensity(
     """Re-solve the intensity parameter theta (|alpha|^2 or beta) so the
     deformed mean photon number equals mean_target.
 
-    Safeguarded Newton on x = ln theta for ln mean(x) = ln mean_target.  The
-    mean is monotone in theta, so the sign of mean - mean_target at each
-    iterate bounds the root on one side; a Newton step is taken only when
-    it lands strictly inside that bracket, otherwise the bracket is bisected
-    in x.  For M at epsilon < 0 a finite divergence rate bounds theta
+    Safeguarded iteration on x = ln theta for ln mean(x) = ln mean_target.
+    The mean is monotone in theta, so the sign of mean - mean_target at each
+    iterate bounds the root on one side; a step is taken only when it lands
+    strictly inside that bracket, otherwise the bracket is bisected in x.
+    Where |epsilon| mean_target <= 1 it starts from the first-order inverse
+    of the leading-order mean and takes Halley steps; elsewhere it starts
+    from the given spec and takes Newton steps (the module docstring says
+    why).  For
+    M at epsilon < 0 a finite divergence rate bounds theta
     (|alpha|^2 < 1/|epsilon|): the bound closes the bracket from above, and
-    a start past it moves to half of it.  Raises DomainError when the target
-    lies beyond every float intensity, DivergenceError when the iteration
-    stalls or runs out; running out, its message names the exit (the
-    bracket collapsed onto one float, or the iteration limit), the builds
-    made and the best relative residual reached.
+    a start past it moves to half of it.
+
+    The iteration stops once |mean - mean_target| <= 1e-12 max(1,
+    mean_target): below one photon the rule is absolute, so a target under
+    1e-12 may return a spec whose certified build is the vacuum, with mean
+    0.  Raises DomainError when the target lies beyond every float
+    intensity, DivergenceError when the iteration stalls or runs out;
+    running out, its message names the exit (the bracket collapsed onto one
+    float, or the iteration limit), the builds made and the best relative
+    residual reached.
     """
     if not (math.isfinite(mean_target) and mean_target > 0):
         raise DomainError(f"mean_target must be positive, got {mean_target}")
     field = _probe(spec).field
-    current = spec
+    eps = params.epsilon
+    x = math.log(getattr(spec, field))
     lo, hi = -math.inf, math.inf
-    rate, eps = spec.m_divergence_rate, params.epsilon
+    rate = spec.m_divergence_rate
     if params.kind is DeformationKind.M and eps < 0.0 and math.isfinite(rate):
         # A finite rate is theta itself (|alpha|^2): the weights diverge from
         # theta / (rate |eps|) = 1/|eps| on, and the mean grows without bound
         # below it.  That bound closes the bracket; a start past it halves it.
-        x = math.log(getattr(spec, field))
-        hi = x - math.log(rate * -eps)
-        if x >= hi:
-            current = replace(spec, **{field: math.exp(hi - math.log(2.0))})
+        # Where theta |eps| underflows to 0 the bound is taken as -ln|eps|.
+        hi = x - math.log(rate * -eps) if rate * -eps > 0.0 else -math.log(-eps)
+    halley = abs(eps) * mean_target <= 1.0  # the regime the module docstring names
+    start = _expansion_start(spec, params, mean_target) if halley else x
+    if start >= hi:
+        start = hi - math.log(2.0)
+    current = spec if start == x else replace(spec, **{field: math.exp(start)})
     scale = max(1.0, mean_target)
     best = math.inf  # smallest |mean - mean_target| reached
     stop = "the iteration limit was reached"
@@ -216,7 +264,8 @@ def calibrate_intensity(
         mask, pm, n = _masked(dist)
         theta = getattr(current, field)
         x = math.log(theta)
-        (slope,) = _cov_n(pm, n, current.ln_theta_score(dist)[mask])  # d mean / d x = Cov[n, t]
+        t = current.ln_theta_score(dist)[mask]
+        (slope,) = _cov_n(pm, n, t)  # d mean / d x = Cov[n, t]; n is now centred
         if not (math.isfinite(slope) and slope != 0.0):
             raise DivergenceError(
                 f"intensity calibration stalled: flat mean response at {field} = {theta}"
@@ -225,7 +274,20 @@ def calibrate_intensity(
             lo = x
         else:
             hi = x
-        x_new = x - math.log(mean / mean_target) * mean / slope
+        step = math.log(mean / mean_target) * mean / slope  # Newton's, on g = ln mean
+        if halley:
+            # d^2 mean / dx^2 = E[(n - E n)(t - E t)^2], plus Cov[n, t] where
+            # t grows with x itself (dt/dx = t), from n as _cov_n centred it.
+            t -= _dot(pm, t)
+            t *= t
+            t *= n
+            curvature = _dot(pm, t) + (slope if current.linear_in_theta else 0.0)
+            # Halley divides Newton's step by 1 - step g''/(2 g'); a divisor
+            # below 1/2 would more than double it, and Newton's step stands.
+            divisor = 1.0 - 0.5 * step * (curvature / slope - slope / mean)
+            if divisor > 0.5:
+                step /= divisor
+        x_new = x - step
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         x_new = min(max(x_new, -_LN_INTENSITY_BOUND), _LN_INTENSITY_BOUND)

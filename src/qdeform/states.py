@@ -97,6 +97,9 @@ class _Probe:
     n0                     undeformed mean photon number (sizes a build)
     m_divergence_rate      M, epsilon < 0: the weights diverge once
                            m_divergence_rate |epsilon| >= 1
+    linear_in_theta        ln w_n is linear in theta (thermal: beta), not in
+                           ln theta; so d t / d ln theta is t, else 0, for
+                           t = ln_theta_score
     log_weight_rows(kind, eps, n_max, start=0, out=None)
                                         ln w_n for n = start..n_max, one row
                                         per epsilon, read from algebra's
@@ -106,10 +109,16 @@ class _Probe:
     ln_theta_score(dist)                d ln w_n / d ln theta up to a constant
                                         (a new array): n, or ln p_n if thermal
     mean_expansion(params, regime)      leading-order mean photon number
+    expansion_at(n0, params, regime)    the same, at undeformed mean n0
+    intensity_at(n0)                    theta whose undeformed mean is n0
     from_mean_photon(n)                 spec from a mean photon number n
     """
 
     step: ClassVar[int] = 1
+    linear_in_theta: ClassVar[bool] = False
+
+    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
+        return self.expansion_at(self.n0, params, regime)
 
 
 def _probe(spec):
@@ -158,6 +167,10 @@ class _AlphaSqProbe(_Probe):
     def ln_theta_score(self, dist: PhotonDistribution) -> np.ndarray:
         return np.arange(dist.n_max + 1, dtype=float)
 
+    @staticmethod
+    def intensity_at(n0: float) -> float:
+        return n0
+
 
 @dataclass(frozen=True)
 class CoherentSpec(_AlphaSqProbe):
@@ -166,8 +179,9 @@ class CoherentSpec(_AlphaSqProbe):
     family: ClassVar[str] = "coherent"
     family_class: ClassVar[str] = "coherent"
 
-    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
-        eps, x = params.epsilon, self.alpha_sq
+    @staticmethod
+    def expansion_at(x: float, params: DeformationParams, regime: str) -> float:
+        eps = params.epsilon
         if params.kind is DeformationKind.M:
             return x - 0.5 * eps * x * x
         return x - 0.5 * eps * eps * (x * x + x * x * x / 3.0)
@@ -184,6 +198,7 @@ class ThermalSpec(_Probe):
     field: ClassVar[str] = "beta"
     pure: ClassVar[bool] = False
     m_divergence_rate: ClassVar[float] = math.inf
+    linear_in_theta: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -194,7 +209,11 @@ class ThermalSpec(_Probe):
         """Build from the undeformed mean photon number via beta = ln(1 + 1/n)."""
         if not (math.isfinite(n_mean) and n_mean > 0):
             raise DomainError(f"n_mean must be positive, got {n_mean}")
-        return cls(beta=math.log1p(1.0 / n_mean))
+        return cls(beta=cls.intensity_at(n_mean))
+
+    @staticmethod
+    def intensity_at(n0: float) -> float:
+        return math.log1p(1.0 / n0)
 
     @property
     def n_mean(self) -> float:
@@ -225,8 +244,9 @@ class ThermalSpec(_Probe):
     def ln_theta_score(self, dist: PhotonDistribution) -> np.ndarray:
         return dist.log_probs.copy()  # ln w_n - ln Z, finite where p_n > 0
 
-    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
-        eps, n_t = params.epsilon, self.n_mean
+    @staticmethod
+    def expansion_at(n_t: float, params: DeformationParams, regime: str) -> float:
+        eps = params.epsilon
         if regime == "small" and n_t == 0.0:
             return 0.0  # the n -> 0 limit (n ln n -> 0), where e^-beta underflows
         if params.kind is DeformationKind.M:
@@ -256,8 +276,22 @@ class CatSpec(_AlphaSqProbe):
         lnw[:, 1 - start % 2::2] = -np.inf  # the odd n
         return lnw
 
-    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
-        eps, n_c = params.epsilon, self.n0
+    @staticmethod
+    def intensity_at(n0: float) -> float:
+        """|alpha|^2 with x tanh x = n0, by Newton steps from n0 (or its root
+        below 1): five or fewer reach rounding for every positive float n0."""
+        x = n0 if n0 >= 1.0 else math.sqrt(n0)
+        for _ in range(8):
+            t = math.tanh(x)
+            step = (x * t - n0) / (t + x * (1.0 - t * t))
+            x -= step
+            if abs(step) <= 1e-15 * x:
+                break
+        return x
+
+    @staticmethod
+    def expansion_at(n_c: float, params: DeformationParams, regime: str) -> float:
+        eps = params.epsilon
         order = eps if params.kind is DeformationKind.M else eps * eps
         if regime == "large":
             return n_c - 0.5 * order * n_c * n_c

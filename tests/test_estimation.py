@@ -7,10 +7,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qdeform import estimation, oracles, states
 from qdeform.algebra import DeformationKind, DeformationParams
@@ -169,6 +171,22 @@ class TestCalibration:
         assert spec.alpha_sq * -eps < 1.0
         assert mean_photon(build_distribution(spec, pr)) == pytest.approx(target, rel=1e-12)
 
+    def test_m_negative_epsilon_bound_past_the_float_range(self):
+        # |alpha|^2 |eps| underflows to 0 here, and used to end in a bare
+        # ValueError from ln 0; the bound 1/|eps| lies past every float.
+        pr = DeformationParams(M, -1e-310)
+        spec = calibrate_intensity(CoherentSpec(1e-20), pr, 1e-20)
+        assert abs(mean_photon(build_distribution(spec, pr)) - 1e-20) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["cat", "thermal"])
+    def test_subnormal_target_keeps_the_start_positive(self, family):
+        # The start's lower bound target / 3 underflows to 0 at 5e-324, and
+        # an undeformed mean of 0 has no intensity (1/0 for thermal probes,
+        # 0/0 in the cat's Newton step).
+        pr = DeformationParams(M, 4.0)
+        spec = calibrate_intensity(spec_for(family, 1.0), pr, 5e-324)
+        assert mean_photon(build_distribution(spec, pr)) <= 1e-12
+
     def test_m_negative_epsilon_thermal_still_diverges(self):
         with pytest.raises(DivergenceError, match="non-normalizable"):
             calibrate_intensity(ThermalSpec.from_mean_photon(5.0),
@@ -207,10 +225,33 @@ class TestCalibration:
                                 DeformationParams(P, 0.3), 200.0)
 
     def test_flat_response_is_a_divergence_error(self):
-        # Near the vacuum every level above n = 0 is below the probability
-        # floor, so the mean has no usable slope in beta.
+        # At M, eps = 3 the levels grow like 4^n, so at the expansion start
+        # (beta = 12.7) p_1 ~ e^(-5 beta / 2) is below tol: the certified
+        # build is the vacuum alone, and the mean has no slope in beta.  The
+        # target is reachable (near beta = 5.5), so this is a stall of the
+        # iteration, not an out-of-reach target.
         with pytest.raises(DivergenceError, match="stalled"):
-            calibrate_intensity(ThermalSpec(beta=700.0), DeformationParams(M, 1e-3), 1.0)
+            calibrate_intensity(ThermalSpec.from_mean_photon(1e-6), DeformationParams(M, 3.0),
+                                1e-6)
+
+    @pytest.mark.parametrize("target", [5e-12, 1e-9, 1e-6])
+    def test_small_cat_target_calibrates(self, target):
+        # The given |alpha|^2 = t certifies the vacuum alone (p_2 ~ t^2 / 2 is
+        # below tol), which used to stall; the expansion start solves
+        # |alpha|^2 tanh |alpha|^2 = t instead, near sqrt(t).
+        pr = DeformationParams(M, 0.0)
+        spec = calibrate_intensity(CatSpec.from_mean_photon(target), pr, target)
+        dist = build_distribution(spec, pr)
+        assert dist.n_max >= 2
+        assert abs(mean_photon(dist) - target) <= 1e-12
+
+    def test_absolute_stop_rule_below_one_photon(self):
+        # Below one photon the stop rule is |mean - target| <= 1e-12, so a
+        # target of 1e-12 is met by a certified vacuum, with mean 0.
+        pr = DeformationParams(M, 0.0)
+        spec = calibrate_intensity(CatSpec.from_mean_photon(1e-12), pr, 1e-12)
+        dist = build_distribution(spec, pr)
+        assert (dist.n_max, mean_photon(dist)) == (0, 0.0)
 
 
 def test_thermal_eps_score_overflow_is_a_divergence_error():
@@ -222,6 +263,26 @@ def test_thermal_eps_score_overflow_is_a_divergence_error():
         == 6800942.265136878
     with pytest.raises(DivergenceError, match="epsilon score overflows"):
         estimation_report(ThermalSpec(1e-303), M, 0.01, hold="intensity")
+
+
+# derandomize keeps tier-1 deterministic; database=None keeps hypothesis from
+# writing example files.
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(st.sampled_from(["coherent", "cat", "thermal"]), st.sampled_from([M, P]),
+       st.floats(-3.0, 4.0), st.floats(0.0, 1.0), st.booleans())
+def test_every_regime_target_converges(family, kind, log10_n, u, negative):
+    # N log-uniform in [1e-3, 1e4] and |eps| log-uniform in [1e-10,
+    # min(0.5, 1/N)], either sign; thermal M at eps < 0 diverges for every
+    # beta and is skipped.
+    n = 10.0 ** log10_n
+    size = math.exp(math.log(1e-10) + u * math.log(min(0.5, 1.0 / n) / 1e-10))
+    eps = -size if negative else size
+    assume(not (family == "thermal" and kind is M and negative))
+    pr = DeformationParams(kind, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = calibrate_intensity(spec_for(family, n), pr, n)
+        assert abs(mean_photon(build_distribution(spec, pr)) - n) <= 1e-12 * max(1.0, n)
 
 
 class TestCalibratedReport:
@@ -259,17 +320,17 @@ class TestCalibratedReport:
 # fails here first: the Monte Carlo CRB ratios move with the last bit of F.
 PINNED_POINTS = [
     ("coherent", M, 10.0, 3e-3,
-     "0x1.8a392246b8173p+3", "0x1.d10b69ebb6829p-14", "0x1.3ffffffffff97p+3"),
+     "0x1.8a392246b8215p+3", "0x1.d10b69ebb68e8p-14", "0x1.3ffffffffffdbp+3"),
     ("coherent", P, 1000.0, 4e-4,
-     "0x1.e138c381e8990p+14", "0x1.42f143a5e2631p-8", "0x1.f3fffffffffc6p+9"),
+     "0x1.e138c381e65cap+14", "0x1.42f143a5e0e2fp-8", "0x1.f3ffffffff53dp+9"),
     ("thermal", M, 2000.0, 2e-4,
-     "0x1.0bfb4d6e7e6bdp+20", "0x1.67adcb3d53827p-5", "0x1.f400000000001p+10"),
+     "0x1.0bfb4d6e7e6bap+20", "0x1.67adcb3d53823p-5", "0x1.f3ffffffffff4p+10"),
     ("thermal", P, 5.0, 0.05,
-     "0x1.7679579cb0b3fp+3", "0x1.df53a357ec6b9p-6", "0x1.3fffffffff00dp+2"),
+     "0x1.7679579cb2e5ep+3", "0x1.df53a357ef3adp-6", "0x1.4000000000002p+2"),
     ("cat", M, 20.0, -2e-3,
-     "0x1.968f37f4624eap+5", "0x1.aa4ef87f6953bp-13", "0x1.40000000003fap+4"),
+     "0x1.968f37f461dbcp+5", "0x1.aa4ef87f68db4p-13", "0x1.4000000000137p+4"),
     ("cat", P, 500.0, 1e-3,
-     "0x1.5bca86097639dp+13", "0x1.6caf76effc4e0p-7", "0x1.f3ffffffffe4bp+8"),
+     "0x1.5bca860976316p+13", "0x1.6caf76effc452p-7", "0x1.f3ffffffffdefp+8"),
 ]
 
 
@@ -605,3 +666,46 @@ class TestOneBuildReport:
         monkeypatch.setattr(oracles, "_richardson", lambda *args: (1.0 + 2e-4, 1.0))
         with pytest.raises(DerivativeInstabilityError, match="exceeds QFI"):
             fd_information(CoherentSpec(6.0), M, 1e-3)
+
+
+class TestCalibrationBuilds:
+    """Real builds (one _finalize each) that a calibration makes."""
+
+    @pytest.fixture
+    def finalized(self, monkeypatch):
+        specs = []
+        real = states._finalize
+
+        def counting(*args):
+            specs.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(states, "_finalize", counting)
+        return specs
+
+    def test_builds_over_the_regime_grid(self, finalized):
+        # 3 families x 2 kinds x N in {2, 30, 300, 3000} x eps N in {1e-3,
+        # 0.1, 0.9}: 186 builds, 2.58 per point and at most 3 (272 builds,
+        # 3.78 per point and at most 6 with Newton steps from the given spec).
+        counts = []
+        for family in ("coherent", "cat", "thermal"):
+            for kind in (M, P):
+                for n in (2.0, 30.0, 300.0, 3000.0):
+                    for eps_n in (1e-3, 0.1, 0.9):
+                        build_distribution.cache_clear()
+                        before = len(finalized)
+                        calibrate_intensity(spec_for(family, n),
+                                            DeformationParams(kind, eps_n / n), n)
+                        counts.append(len(finalized) - before)
+        assert (len(counts), sum(counts), max(counts)) == (72, 186, 3)
+
+    @pytest.mark.parametrize("family", ["coherent", "cat", "thermal"])
+    @pytest.mark.parametrize("kind", [M, P])
+    @pytest.mark.parametrize("eps_n", [1.5, 40.0])
+    def test_outside_the_regime_the_first_build_is_the_given_spec(self, finalized, family,
+                                                                   kind, eps_n):
+        n = 20.0
+        spec = spec_for(family, n)
+        calibrate_intensity(spec, DeformationParams(kind, eps_n / n), n)
+        assert finalized[0] is spec
+        assert len(finalized) >= 2

@@ -320,3 +320,13 @@ def test_p_cannot_tell_q_from_its_inverse(cls, eps, n):
     for hold in ("intensity", "mean_photon"):
         want = estimation_report(spec, P, eps, hold=hold).fisher * (1.0 + eps) ** 4
         assert abs(estimation_report(spec, P, mirror, hold=hold).fisher - want) <= rtol * want
+
+
+@PROPERTY
+@given(families, st.floats(1e-300, 1e300))
+def test_intensity_at_inverts_the_undeformed_mean(cls, n0):
+    # The calibration's expansion start maps an undeformed mean back to
+    # theta.  Measured worst round trips over 1e-300..1e300: exact
+    # (coherent), 2.2e-16 (cat, five Newton steps at most) and 5.7e-14
+    # (thermal, where ln(1 + 1/n0) near 690 rounds before e^beta).
+    assert cls(cls.intensity_at(n0)).n0 == pytest.approx(n0, rel=1e-13, abs=0.0)
