@@ -33,13 +33,13 @@ calibrate_intensity solves the "mean_photon" intensity with one certified
 build per iterate, so its cost is its number of iterates.  Where |eps| N
 <= 1 (N the target), the regime of the QSNR table, it starts from the
 intensity whose leading-order mean (the family's mean_expansion) equals N
-to first order, and takes Halley steps in ln theta.  Their
-curvature E[(n - E n)(t - E t)^2] (+ Cov[n, t] for thermal probes, whose
-ln w is linear in beta) comes from the centred vectors of the slope
-Cov[n, t].  Beyond that regime it starts from the given spec and takes
-Newton steps: at |eps| N >> 1 the computed mean wobbles at its rounding
-floor between neighbouring intensities, so any other path changes which
-targets converge, and this one keeps those results.
+to first order, and takes Halley steps in ln theta.  Their curvature
+E[(n - E n)(t - E t)^2] (+ Cov[n, t] for thermal probes, whose ln w is
+linear in beta) comes from the centred vectors of the slope Cov[n, t].
+Beyond that regime it starts from the given spec and takes Newton steps:
+at |eps| N >> 1 the computed mean wobbles at its rounding floor between
+neighbouring intensities, so any other path changes which targets
+converge, and this one keeps those results.
 
 Every quantity here comes from the analytic score, summed over the levels
 with p_n above PROB_FLOOR.  When every level passes, as it does for thermal
@@ -94,7 +94,7 @@ _CALIBRATION_MAX_ITER = 60
 _START_FACTOR = 3.0
 
 
-def _expansion_start(probe, params: DeformationParams, target: float) -> float:
+def _expansion_start(spec: ProbeSpec, params: DeformationParams, target: float) -> float:
     """ln theta at the first-order inverse of the family's leading-order
     mean: the undeformed mean u = target - (expansion_at(target) - target),
     kept within _START_FACTOR of the target.
@@ -104,11 +104,11 @@ def _expansion_start(probe, params: DeformationParams, target: float) -> float:
     cubic expansion turns over (the M coherent one at |epsilon| N = 1/2)
     while the exact mean does not."""
     regime = "large" if target >= 1.0 else "small"
-    u = 2.0 * target - probe.expansion_at(target, params, regime)
+    u = 2.0 * target - spec.expansion_at(target, params, regime)
     u = min(max(u, target / _START_FACTOR), target * _START_FACTOR)
     if not 0.0 < u < math.inf:  # the expansion or the bounds left the floats
         u = target
-    return min(max(math.log(probe.intensity_at(u)), -_LN_INTENSITY_BOUND),
+    return min(max(math.log(spec.intensity_at(u)), -_LN_INTENSITY_BOUND),
                _LN_INTENSITY_BOUND)
 
 
