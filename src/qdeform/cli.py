@@ -225,6 +225,9 @@ def _parse_eps_grid(parser: _Parser, args: argparse.Namespace) -> List[float]:
 def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> _Result:
     epsilons = _parse_eps_grid(parser, args)
     n_values = _parse_floats(parser, args.n_values, "--n-values")
+    for n_value in n_values:
+        if not 0.0 < n_value < math.inf:
+            raise DomainError(f"--n-values must be positive and finite, got {n_value}")
     kind = DeformationKind(args.kind)
     points = []
     for eps in epsilons:

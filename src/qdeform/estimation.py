@@ -32,7 +32,7 @@ Two parametrizations of the epsilon-family are exposed via `hold`:
 calibrate_intensity solves the "mean_photon" intensity with one certified
 build per iterate, so its cost is its number of iterates.  Where |eps| N
 <= 1 (N the target), the regime of the QSNR table, it starts from the
-intensity whose leading-order mean (the family's mean_expansion) equals N
+intensity whose leading-order mean (the family's expansion_at) equals N
 to first order, and takes Halley steps in ln theta.  Their curvature
 E[(n - E n)(t - E t)^2] (+ Cov[n, t] for thermal probes, whose ln w is
 linear in beta) comes from the centred vectors of the slope Cov[n, t].
@@ -220,8 +220,7 @@ def calibrate_intensity(
     Where |epsilon| mean_target <= 1 it starts from the first-order inverse
     of the leading-order mean and takes Halley steps; elsewhere it starts
     from the given spec and takes Newton steps (the module docstring says
-    why).  For
-    M at epsilon < 0 a finite divergence rate bounds theta
+    why).  For M at epsilon < 0 a finite divergence rate bounds theta
     (|alpha|^2 < 1/|epsilon|): the bound closes the bracket from above, and
     a start past it moves to half of it.
 
@@ -240,13 +239,11 @@ def calibrate_intensity(
     eps = params.epsilon
     x = math.log(getattr(spec, field))
     lo, hi = -math.inf, math.inf
-    rate = spec.m_divergence_rate
-    if params.kind is DeformationKind.M and eps < 0.0 and math.isfinite(rate):
+    if params.kind is DeformationKind.M and eps < 0.0 and math.isfinite(spec.m_divergence_rate):
         # A finite rate is theta itself (|alpha|^2): the weights diverge from
-        # theta / (rate |eps|) = 1/|eps| on, and the mean grows without bound
-        # below it.  That bound closes the bracket; a start past it halves it.
-        # Where theta |eps| underflows to 0 the bound is taken as -ln|eps|.
-        hi = x - math.log(rate * -eps) if rate * -eps > 0.0 else -math.log(-eps)
+        # theta = 1/|eps| on, and the mean grows without bound below it.  So
+        # ln theta = -ln|eps| closes the bracket; a start past it halves it.
+        hi = -math.log(-eps)
     halley = abs(eps) * mean_target <= 1.0  # the regime the module docstring names
     start = _expansion_start(spec, params, mean_target) if halley else x
     if start >= hi:

@@ -108,17 +108,14 @@ class _Probe:
     eps_score(params, n_max)            d ln w_n / d epsilon
     ln_theta_score(dist)                d ln w_n / d ln theta up to a constant
                                         (a new array): n, or ln p_n if thermal
-    mean_expansion(params, regime)      leading-order mean photon number
-    expansion_at(n0, params, regime)    the same, at undeformed mean n0
+    expansion_at(n0, params, regime)    leading-order mean photon number at
+                                        undeformed mean n0
     intensity_at(n0)                    theta whose undeformed mean is n0
     from_mean_photon(n)                 spec from a mean photon number n
     """
 
     step: ClassVar[int] = 1
     linear_in_theta: ClassVar[bool] = False
-
-    def mean_expansion(self, params: DeformationParams, regime: str) -> float:
-        return self.expansion_at(self.n0, params, regime)
 
 
 def _probe(spec):
@@ -291,6 +288,9 @@ class CatSpec(_AlphaSqProbe):
 
     @staticmethod
     def expansion_at(n_c: float, params: DeformationParams, regime: str) -> float:
+        """The paper's printed formulas.  The P "large" one, n_c - eps^2 n_c^2 / 2,
+        lacks the coherent -eps^2 n_c^3 / 6 term that a large cat's mean follows:
+        acceptance criterion 8 pins its halving ratio of 4, which that term makes 9.47."""
         eps = params.epsilon
         order = eps if params.kind is DeformationKind.M else eps * eps
         if regime == "large":
@@ -476,8 +476,7 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
             if n_max >= HARD_CAP or not _tail_surely_above(peak, len(trimmed), ln_tail, tol):
                 ln_total = float(np.logaddexp(_logsumexp(trimmed), ln_tail))
                 if math.exp(ln_tail - ln_total) <= tol:
-                    return _finalize(lnw, range(0, (last + 1) * step, step), trimmed,
-                                     ln_tail, ln_total, tol, params, spec)
+                    return _finalize(lnw, trimmed, ln_tail, ln_total, tol, params, spec)
             failure = f"tail tolerance {tol} not reached at hard cap n_max = {HARD_CAP}"
         if crossed or n_max >= HARD_CAP:
             raise DivergenceError(f"{failure} ({type(spec).__name__}, "
@@ -496,7 +495,6 @@ build_distribution.cache_clear = _clear_kept
 
 def _finalize(
     lnw: np.ndarray,
-    support: range,
     lnw_sup: np.ndarray,
     ln_tail: float,
     ln_total: float,
@@ -524,7 +522,7 @@ def _finalize(
     np.cumsum(acc, out=acc)
     met = int(np.searchsorted(acc, tol, side="right"))
     cut = size - met if met else size - 1
-    n_max = support[cut]
+    n_max = cut * spec.step
     tail_bound = float(acc[size - 1 - cut])
 
     log_probs = lnw[: n_max + 1] - ln_total
@@ -594,7 +592,7 @@ def mean_photon_expansion(
     """
     if regime not in ("large", "small"):
         raise DomainError(f"regime must be 'large' or 'small', got {regime!r}")
-    return _probe(spec).mean_expansion(params, regime)
+    return _probe(spec).expansion_at(spec.n0, params, regime)
 
 
 def _fixed_support_weight_rows(
@@ -609,16 +607,10 @@ def _fixed_support_weight_rows(
     Plumbing for likelihood evaluation, where nearby states must share one
     outcome support.  The caller checks normalizability and sizes n_support
     so the omitted mass is negligible.  Each row is normalized over its
-    finite entries (the even columns for cat states; thermal rows whose
-    gamma overflowed drop those levels), exactly as a one-row call.
+    support columns (the even ones for cat states), exactly as a one-row
+    call.  A thermal level whose gamma overflowed has ln w = -inf, which
+    _logsumexp adds as an exact zero (e^-inf); beta gamma is past e^9.8
+    before gamma overflows, so such a level had no weight anyway.
     """
     lnw = spec.log_weight_rows(kind, eps, n_support)
-    cols = lnw[:, ::spec.step]
-    if np.isfinite(cols).all():
-        return lnw, _logsumexp(cols)
-    finite = np.isfinite(cols).all(axis=1)
-    norm = np.empty(len(lnw))
-    norm[finite] = _logsumexp(cols[finite])
-    for r in np.flatnonzero(~finite):
-        norm[r] = _logsumexp(lnw[r][np.isfinite(lnw[r])])
-    return lnw, norm
+    return lnw, _logsumexp(lnw[:, ::spec.step])

@@ -300,6 +300,15 @@ class TestExitCodes:
         assert "best relative residual" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("family", ["coherent", "thermal", "cat"])
+    @pytest.mark.parametrize("n_value", ["-5", "nan", "inf", "0"])
+    def test_bad_n_values_name_the_flag_exit_2(self, capsys, family, n_value):
+        code, out, err = run_cli(capsys, "qsnr", "--family", family, "--kind", "M",
+                                 "--epsilons", "1e-3", f"--n-values=10,{n_value}")
+        assert (code, out) == (2, "")
+        assert err == ("qdeform: domain error: --n-values must be positive and finite, "
+                       f"got {float(n_value)}\n")
+
     @pytest.mark.filterwarnings("error")
     def test_unreachable_calibration_target_exit_2(self, capsys):
         # The P thermal mean grows only like ln(1/beta); 5000 photons at

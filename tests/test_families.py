@@ -46,8 +46,7 @@ U = sys.float_info.epsilon
 
 PROTOCOL = (
     "family", "family_class", "field", "step", "pure", "n0", "m_divergence_rate",
-    "log_weight_rows", "eps_score", "ln_theta_score", "mean_expansion",
-    "from_mean_photon",
+    "log_weight_rows", "eps_score", "ln_theta_score", "from_mean_photon",
 )
 
 MODULES = ("algebra", "errors", "states", "estimation", "montecarlo", "serialize",
@@ -103,6 +102,7 @@ class TestConformance:
         assert type(spec) is cls and cls.family == name
         for attr in PROTOCOL:
             assert hasattr(spec, attr), (name, attr)
+        assert not hasattr(cls, "mean_expansion")  # one route: expansion_at(n0, ...)
         assert getattr(spec, cls.field) > 0
         assert cls.step in (1, 2) and isinstance(cls.pure, bool)
         assert leading_order_qsnr(cls.family_class, M, 1e-3, 10.0) > 0

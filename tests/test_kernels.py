@@ -129,8 +129,8 @@ class TestFinalizeCut:
         ln_tail = float(np.max(lnw_sup)) + tail_offset
         ln_total = float(np.logaddexp(states._logsumexp(lnw_sup), ln_tail))
         spec = CatSpec(1.0) if cat else CoherentSpec(1.0)
-        dist = states._finalize(lnw, range(0, len(lnw_sup) * step, step), lnw_sup, ln_tail,
-                                ln_total, tol, DeformationParams(M, 0.0), spec)
+        dist = states._finalize(lnw, lnw_sup, ln_tail, ln_total, tol,
+                                DeformationParams(M, 0.0), spec)
         cut, tail_bound, q = ref_cut(lnw_sup, ln_tail, ln_total, tol)
         assert dist.n_max == cut * step
         assert dist.tail_bound.hex() == tail_bound.hex()
@@ -222,8 +222,7 @@ def ref_build(spec, params, tol):
             continue
         ln_total = float(np.logaddexp(states._logsumexp(trimmed), ln_tail))
         if math.exp(ln_tail - ln_total) <= tol:
-            return states._finalize(lnw, range(0, (last + 1) * step, step), trimmed,
-                                    ln_tail, ln_total, tol, params, spec)
+            return states._finalize(lnw, trimmed, ln_tail, ln_total, tol, params, spec)
         if n_max >= cap:
             raise DivergenceError(f"tail tolerance {tol} not reached at hard cap "
                                   f"n_max = {cap} {where}")

@@ -334,13 +334,14 @@ class TestTruncationCut:
         seen = []
         real = states._finalize
 
-        def spy(lnw, support, lnw_sup, ln_tail, ln_total, *rest):
-            seen.append((support, lnw_sup, ln_tail, ln_total))
-            return real(lnw, support, lnw_sup, ln_tail, ln_total, *rest)
+        def spy(lnw, lnw_sup, ln_tail, ln_total, *rest):
+            seen.append((lnw_sup, ln_tail, ln_total))
+            return real(lnw, lnw_sup, ln_tail, ln_total, *rest)
 
         monkeypatch.setattr(states, "_finalize", spy)
         dist = build_distribution(spec, params(kind, eps), tol)
-        (support, lnw_sup, ln_tail, ln_total), = seen
+        (lnw_sup, ln_tail, ln_total), = seen
+        support = range(0, len(lnw_sup) * spec.step, spec.step)
         cut = int(np.searchsorted(support, dist.n_max))
         assert support[cut] == dist.n_max
         with mp.workdps(50):
