@@ -118,10 +118,7 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
     el = eps.tolist()  # scalar math on each epsilon, as on one alone
     dens = el if kind is DeformationKind.M else [e * (2.0 + e) for e in el]
     L = np.fromiter(map(math.log1p, el), float, len(el))[:, None]
-    if 0.0 in el:
-        log_den = np.array([math.log(abs(d)) if d else 0.0 for d in dens])[:, None]
-    else:
-        log_den = np.fromiter(map(math.log, map(abs, dens)), float, len(el))[:, None]
+    log_den = np.array([math.log(abs(d)) if d else 0.0 for d in dens])[:, None]
     j = np.arange(first, n_max + 1, dtype=float)
     body = out[:, first - start:]
     if kind is DeformationKind.M:
@@ -143,8 +140,9 @@ class _Levels:
     changes.  Each vector is grown on demand by its new columns only:
     _log_q_rows writes their ln [j] into the grown buffer from a start
     column, gamma exponentiates them in place, and ln Delta continues each
-    row's cumulative sum from its last kept entry (a new vector is that
-    run from column 0, each sum from 0).
+    row's cumulative sum from its last kept entry.  A new vector is its
+    j = 0 column, gamma_0 = ln Delta_0 = 0, so its first growth is that run
+    from column 0.
     Every entry is elementwise or a sequential sum along its row, so each
     row has the bits of a fresh evaluation of its epsilon alone.  The arrays
     are read-only; the public functions return copies.  Callers in two
@@ -154,31 +152,29 @@ class _Levels:
 
     def __init__(self, kind: DeformationKind, eps: np.ndarray) -> None:
         self.kind, self.eps = kind, eps
-        self._gamma = self._log_delta = None
+        start = np.zeros((len(eps), 1))  # gamma_0 = ln Delta_0 = 0
+        start.flags.writeable = False
+        self._gamma = self._log_delta = start
 
     def _grow(self, name: str, n_max: int, fill) -> np.ndarray:
         """Rows `name` for j = 0..n_max.  Longer rows are one new buffer:
         _log_q_rows writes ln [j] into it from the last kept column on, and
         fill(run, last) turns that run into values, given the last kept
-        column."""
+        column.  New rows hold the j = 0 column only, so their first growth
+        runs from column 0."""
         if n_max < 0:
             raise DomainError("n_max must be >= 0")
         have = getattr(self, name)
-        if have is None:
-            have = _log_q_rows(self.kind, self.eps, n_max)
-            fill(have, 0.0)
-        elif have.shape[1] <= n_max:
-            width = have.shape[1]
-            grown = np.empty((len(self.eps), n_max + 1))
-            grown[:, :width - 1] = have[:, :-1]
-            fill(_log_q_rows(self.kind, self.eps, n_max, width - 1, out=grown[:, width - 1:]),
-                 have[:, -1:])
-            have = grown
-        else:
+        width = have.shape[1]
+        if width > n_max:
             return have[:, : n_max + 1]
-        have.flags.writeable = False
-        setattr(self, name, have)
-        return have
+        grown = np.empty((len(self.eps), n_max + 1))
+        grown[:, :width - 1] = have[:, :-1]
+        fill(_log_q_rows(self.kind, self.eps, n_max, width - 1, out=grown[:, width - 1:]),
+             have[:, -1:])
+        grown.flags.writeable = False
+        setattr(self, name, grown)
+        return grown
 
     def gamma(self, n_max: int) -> np.ndarray:
         def fill(run, last):
@@ -310,13 +306,11 @@ def q_number(params: DeformationParams, n: int) -> float:
     """The q-number [n] for the given deformation; [0] = 0, [1] = 1.
 
     At epsilon = 0 the undeformed limit [n] = n is returned exactly; else
-    e^(ln [n]) of column n of _log_q_rows, the gamma_n of every build bit
-    for bit, and +inf where [n] exceeds the float range.
+    e^(ln [n]) of column n of _log_q_rows (-inf at n = 0), the gamma_n of
+    every build bit for bit, and +inf where [n] exceeds the float range.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n == 0:
-        return 0.0
     if params.epsilon == 0.0:
         return float(n)
     with np.errstate(over="ignore"):

@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import warnings
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from . import serialize
 from .algebra import DeformationKind, DeformationParams
@@ -45,17 +45,17 @@ EXIT_NUMERICAL = 3
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the contract wants 1."""
 
-    def error(self, message: str) -> None:  # type: ignore[override]
+    def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         sys.stdout.flush()  # a closed pipe fails here, inside main
         return
     directory = os.path.dirname(os.path.abspath(out))
@@ -63,8 +63,6 @@ def _write_output(text: str, out: Optional[str]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
         os.replace(tmp_path, out)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -129,7 +127,6 @@ def _parse_floats(parser: _Parser, text: str, flag: str) -> List[float]:
         return [float(part) for part in items]
     except ValueError:
         parser.error(f"could not parse {flag} value {text!r}")
-    raise AssertionError  # unreachable
 
 
 def build_parser() -> _Parser:
@@ -213,7 +210,6 @@ def _parse_eps_grid(parser: _Parser, args: argparse.Namespace) -> List[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         parser.error(f"could not parse --eps-range {args.eps_range!r}")
-        raise AssertionError  # unreachable
     if count < 1 or not (0 < lo <= hi < math.inf):
         parser.error("--eps-range needs 0 < LO <= HI and COUNT >= 1")
     if count == 1:

@@ -26,6 +26,8 @@ the tests do.
   m_zero_information             F at M, eps = 0 from 50-digit moment sums of
                                  the undeformed law, where the score is a
                                  polynomial in n
+  p_zero_information             the limit of F (1 + eps)^2 / ln(1 + eps)^2
+                                 at P, eps -> 0, from the same sums
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ __all__ = [
     "gamma_series",
     "cat_normalization_crosscheck",
     "m_zero_information",
+    "p_zero_information",
     "DerivativeInstabilityError",
 ]
 
@@ -295,42 +298,70 @@ def cat_normalization_crosscheck(
     return w_formula, w_direct
 
 
-def m_zero_information(spec: ProbeSpec, hold: str = "mean_photon") -> float:
-    """F of photon counting at M, epsilon = 0, from 50-digit sums.
+# The epsilon-score's limit polynomial d(n) at epsilon -> 0, by kind and
+# purity, with h = beta/2 for thermal probes; d^2 grows like n^(2 degree).
+_ZERO_SCORES = {
+    (DeformationKind.M, True): (2, lambda n, h: -n * (n - 1) / 4),
+    (DeformationKind.M, False): (2, lambda n, h: -h * n * n),
+    (DeformationKind.P, True): (3, lambda n, h: -(n * (n + 1) * (2 * n + 1) / 6 - n) / 3),
+    (DeformationKind.P, False): (3, lambda n, h: -h / 3 * n * (n + 1) * (2 * n + 1)),
+}
 
-    There the epsilon-score d is a polynomial in n: -n(n-1)/4 for coherent
-    and cat probes, -(beta/2) n^2 for thermal ones, and the intensity score
-    t is affine in n.  So F is Var_p[d] at hold="intensity" and
-    Var_p[d] - Cov[n, d]^2 / Var[n] at hold="mean_photon", with p the
-    undeformed law: Poisson, even-Poisson or geometric.  A coherent probe at
-    |alpha|^2 = N gives N^3/4 + N^2/8 and N^2/8.  The sums run until the
-    terms w_n (n + 1)^4 fall below 1e-60 of the weight summed so far.
-    """
+
+def _zero_information(spec: ProbeSpec, kind: DeformationKind, hold: str) -> float:
+    """Var_p[d] at hold="intensity" and Var_p[d] - Cov[n, d]^2 / Var[n] at
+    hold="mean_photon", with d from _ZERO_SCORES and p the undeformed law
+    of spec (Poisson, even-Poisson or geometric), from 50-digit sums.  The
+    intensity score is affine in n, which is why removing its component
+    removes the n component of d.  The sums run until the terms
+    w_n (n + 1)^(2 degree) fall below 1e-60 of the weight summed so far."""
     import mpmath as mp
 
     if hold not in ("mean_photon", "intensity"):
         raise DomainError(f"hold must be 'mean_photon' or 'intensity', got {hold!r}")
     _probe(spec)
+    degree, score = _ZERO_SCORES[kind, spec.pure]
     with mp.workdps(50):
         if spec.pure:
-            x = mp.mpf(spec.alpha_sq)
-            ratio, score = (lambda n: x / n), (lambda n: -n * (n - 1) / 4)
+            x, half_beta = mp.mpf(spec.alpha_sq), None
         else:
             half_beta = mp.mpf(spec.beta) / 2
             r = mp.exp(-2 * half_beta)
-            ratio, score = (lambda n: r), (lambda n: -half_beta * n * n)
         sums = [mp.mpf(0)] * 6  # of w, w n, w n^2, w d, w d^2, w n d
         w, n, tiny = mp.mpf(1), 0, mp.mpf(10) ** -60
-        while w * (n + 1) ** 4 >= tiny * sums[0]:
+        while w * (n + 1) ** (2 * degree) >= tiny * sums[0]:
             if n % spec.step == 0:
-                d = score(mp.mpf(n))
+                d = score(mp.mpf(n), half_beta)
                 for k, v in enumerate((1, n, n * n, d, d * d, n * d)):
                     sums[k] += w * v
             n += 1
-            w *= ratio(n)
+            w *= x / n if spec.pure else r
         z = sums[0]
         mean_n, mean_d = sums[1] / z, sums[3] / z
         var_n = sums[2] / z - mean_n ** 2
         var_d = sums[4] / z - mean_d ** 2
         cov = sums[5] / z - mean_n * mean_d
         return float(var_d if hold == "intensity" else var_d - cov ** 2 / var_n)
+
+
+def m_zero_information(spec: ProbeSpec, hold: str = "mean_photon") -> float:
+    """F of photon counting at M, epsilon = 0, from 50-digit sums.
+
+    There the epsilon-score d is a polynomial in n: -n(n-1)/4 for coherent
+    and cat probes, -(beta/2) n^2 for thermal ones.  A coherent probe at
+    |alpha|^2 = N gives N^3/4 + N^2/8 and N^2/8.
+    """
+    return _zero_information(spec, DeformationKind.M, hold)
+
+
+def p_zero_information(spec: ProbeSpec, hold: str = "mean_photon") -> float:
+    """The limit c of F(eps) (1 + eps)^2 / L^2 as eps -> 0 at P, with
+    L = ln(1 + eps), from 50-digit sums.
+
+    F is even in L (q and 1/q give one state), and d ln p_n / dL is L times
+    a polynomial in n up to O(L^3): -(sum_{j<=n} j^2 - n)/3 for coherent
+    and cat probes, -(beta/3) n(n+1)(2n+1)/2 for thermal ones.  So
+    F(eps) (1 + eps)^2 = c L^2 + O(L^4), with c the variance of that
+    polynomial as in m_zero_information.
+    """
+    return _zero_information(spec, DeformationKind.P, hold)

@@ -203,14 +203,18 @@ class ThermalSpec(_Probe):
 
     @classmethod
     def from_mean_photon(cls, n_mean: float) -> "ThermalSpec":
-        """Build from the undeformed mean photon number via beta = ln(1 + 1/n)."""
+        """Build from the undeformed mean photon number via beta =
+        intensity_at(n) = ln(1 + 1/n), which is -ln n where 1/n overflows."""
         if not (math.isfinite(n_mean) and n_mean > 0):
             raise DomainError(f"n_mean must be positive, got {n_mean}")
         return cls(beta=cls.intensity_at(n_mean))
 
     @staticmethod
     def intensity_at(n0: float) -> float:
-        return math.log1p(1.0 / n0)
+        """ln(1 + 1/n0), or -ln n0, equal to it in floats, where 1/n0
+        overflows (n0 below about 5.6e-309)."""
+        inverse = 1.0 / n0
+        return math.log1p(inverse) if inverse < math.inf else -math.log(n0)
 
     @property
     def n_mean(self) -> float:

@@ -263,6 +263,24 @@ class TestExitCodes:
         assert doc["n_max"] == 0 and doc["probs"] == [1.0]
 
     @pytest.mark.filterwarnings("error")
+    def test_thermal_mean_below_the_inverse_overflow_exit_0(self, capsys):
+        # 1/n_mean overflows below n_mean ~ 5.6e-309; beta is then -ln n_mean.
+        code, out, err = run_cli(capsys, "state", "thermal", "--n-mean", "1e-320",
+                                 "--kind", "M", "--epsilon", "0")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["beta"] == -math.log(1e-320)
+        assert doc["n_max"] == 0 and doc["probs"] == [1.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_thermal_target_below_the_inverse_overflow_exit_0(self, capsys):
+        code, out, err = run_cli(capsys, "qsnr", "--family", "thermal", "--kind", "M",
+                                 "--epsilons", "1e-3", "--n-values", "1e-320")
+        assert code == 0, err
+        (row,) = json.loads(out)["rows"]
+        assert row["mean_photon"] == 0.0 and row["fisher"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
     def test_far_calibration_target_exit_0(self, capsys):
         # |eps| N = 60: the calibrated beta is about 6e-47, far below the
         # undeformed starting point ln(1 + 1/200).

@@ -142,6 +142,19 @@ class TestNearVacuumThermal:
             dist = build_distribution(spec, params(kind, eps))
             assert dist.n_max == 0 and dist.probs.tolist() == [1.0]
 
+    @pytest.mark.parametrize("n_mean", [1e-320, 5e-324])
+    def test_from_a_mean_whose_inverse_overflows(self, n_mean):
+        # 1/n_mean is inf, and ln(1 + 1/n) equals -ln n in floats there.
+        spec = ThermalSpec.from_mean_photon(n_mean)
+        assert spec.beta == -math.log(n_mean)
+        assert spec.n_mean == n_mean
+        dist = build_distribution(spec, params(M, 0.0))
+        assert dist.n_max == 0 and dist.probs.tolist() == [1.0]
+
+    def test_intensity_keeps_its_formula_where_the_inverse_is_finite(self):
+        n_mean = 5.6e-309  # 1/n_mean is 1.79e308, just inside the floats
+        assert ThermalSpec.intensity_at(n_mean) == math.log1p(1.0 / n_mean)
+
     def test_small_expansion_at_zero_mean(self):
         # n_T = e^-800 underflows to 0; n ln n has the limit 0 there
         spec = ThermalSpec(beta=800.0)
