@@ -17,11 +17,10 @@ epsilon = 0), and the removable singularity of [n] at epsilon = 0 is
 evaluated through expm1/log1p, with epsilon = 0 special-cased to the
 undeformed limits.  The epsilon-derivatives cancel near epsilon = 0 in
 closed form, so there a Taylor series takes over (dlog_q_number_values).
-The level vectors of the last (kind, epsilon) asked about are kept and
+The level vectors of the last (kind, epsilons) asked about are kept and
 grown by new segments only (_Levels): a calibrated point evaluates one
 epsilon at many intensities.  Every weight row reads its levels from
-_Levels; the rows of many epsilons that a lockstep likelihood asks for
-are computed by the same code and not kept.
+_Levels, whether of one epsilon or of the many of a lockstep likelihood.
 The product forms and small-epsilon expansions that the tests check these
 values against are not part of this module.
 """
@@ -113,8 +112,6 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
     first = max(start, 1)
     if start < first:
         out[:, 0] = -np.inf
-    if n_max < first:
-        return out
     el = eps.tolist()  # scalar math on each epsilon, as on one alone
     dens = el if kind is DeformationKind.M else [e * (2.0 + e) for e in el]
     L = np.fromiter(map(math.log1p, el), float, len(el))[:, None]
@@ -135,9 +132,9 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
 class _Levels:
     """gamma_j = [j] and ln Delta_j for j = 0..n, one row per epsilon of eps.
 
-    Only the last single epsilon asked about is kept (_kept_levels), since
-    between the Newton iterates of a calibrated point only the intensity
-    changes.  Each vector is grown on demand by its new columns only:
+    Only the rows of the last epsilons asked about are kept (_kept_levels),
+    since between the Newton iterates of a calibrated point only the
+    intensity changes.  Each vector is grown on demand by its new columns only:
     _log_q_rows writes their ln [j] into the grown buffer from a start
     column, gamma exponentiates them in place, and ln Delta continues each
     row's cumulative sum from its last kept entry.  A new vector is its
@@ -194,22 +191,15 @@ class _Levels:
 
 
 def _levels(kind: DeformationKind, eps) -> _Levels:
-    """The level rows of (kind, eps), one per epsilon of the sequence eps.
-
-    Rows of one epsilon are kept (_kept_levels), replacing those of any
-    other epsilon.  Rows of several epsilons, which only lockstep
-    likelihoods ask for, each call at new epsilons, are computed fresh and
-    not kept: they leave the kept rows of the last build in place."""
-    eps = np.array(eps, dtype=float)
-    if len(eps) != 1:
-        return _Levels(kind, eps)
-    return _kept_levels(kind, eps.tobytes())
+    """The level rows of (kind, eps), one per epsilon of the sequence eps,
+    kept (_kept_levels) until another sequence is asked for."""
+    return _kept_levels(kind, np.array(eps, dtype=float).tobytes())
 
 
 @functools.lru_cache(maxsize=1)
 def _kept_levels(kind: DeformationKind, eps_bytes: bytes) -> _Levels:
-    """The rows of one epsilon, keyed on its bits, so -0.0 and 0.0 are kept
-    apart."""
+    """The rows of the last epsilon sequence, keyed on its bits, so -0.0 and
+    0.0 are kept apart."""
     return _Levels(kind, np.frombuffer(eps_bytes))
 
 

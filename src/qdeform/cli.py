@@ -43,7 +43,12 @@ EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the contract wants 1."""
+    """argparse exits with code 2 on usage errors; the contract wants 1.
+    Flags are matched in full only, not by prefix (--epsilon is not
+    --epsilons); every subparser is a _Parser too."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
@@ -95,28 +100,28 @@ def _takes_n_mean(cls) -> bool:
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser, classes: Iterable[type]) -> None:
-    """Each family's field flag, and --n-mean where a family takes it; a
-    flag that several families share is added once."""
+    """Each family's field flag, and --n-mean where a family takes it, in one
+    required exclusive group; a flag that several families share is added once."""
     users: Dict[str, List[str]] = {}
     for cls in classes:
         users.setdefault(_flag(cls.field), []).append(cls.family)
         if _takes_n_mean(cls):
             users.setdefault("--n-mean", []).append(cls.family)
+    group = parser.add_mutually_exclusive_group(required=True)
     for flag, families in users.items():
-        parser.add_argument(flag, type=float, default=None,
-                            help=f"for {'/'.join(families)} probes")
+        group.add_argument(flag, type=float, help=f"for {'/'.join(families)} probes")
 
 
 def _spec_from_args(parser: _Parser, args: argparse.Namespace) -> ProbeSpec:
-    """The spec from the family's field flag, or from --n-mean where it applies."""
+    """The spec from the one spec flag given, if it is one the family takes."""
     cls = FAMILIES[args.family]
     value = getattr(args, cls.field)
-    n_mean = args.n_mean if _takes_n_mean(cls) else None
-    if (value is None) == (n_mean is None):
-        need = (f"exactly one of {_flag(cls.field)} / --n-mean" if _takes_n_mean(cls)
-                else _flag(cls.field))
-        parser.error(f"family {args.family} needs {need}")
-    return cls(**{cls.field: value}) if value is not None else cls.from_mean_photon(n_mean)
+    if value is not None:
+        return cls(**{cls.field: value})
+    if _takes_n_mean(cls) and args.n_mean is not None:
+        return cls.from_mean_photon(args.n_mean)
+    parser.error(f"family {args.family} takes {_flag(cls.field)}"
+                 + (" or --n-mean" if _takes_n_mean(cls) else ""))
 
 
 def _parse_floats(parser: _Parser, text: str, flag: str) -> List[float]:

@@ -307,17 +307,19 @@ def calibrate_intensity(
 
 def qsnr(epsilon: float, qfi: float) -> float:
     """Quantum signal-to-noise ratio eps^2 H(eps)."""
-    if qfi < 0:
+    if math.isnan(epsilon):
+        raise DomainError(f"epsilon must be a number, got {epsilon}")
+    if not qfi >= 0:  # NaN too
         raise DomainError(f"qfi must be >= 0, got {qfi}")
     return epsilon * epsilon * qfi
 
 
 def measurements_needed(delta: float, qsnr_value: float) -> float:
     """Measurements for a 3-sigma confidence interval at relative error delta:
-    9 / (delta^2 Q); infinite when the QSNR vanishes."""
-    if delta <= 0:
-        raise DomainError(f"delta must be > 0, got {delta}")
-    if qsnr_value < 0:
+    9 / (delta^2 Q); infinite when the QSNR vanishes, 0 when it is infinite."""
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be finite and > 0, got {delta}")
+    if not qsnr_value >= 0:  # NaN too
         raise DomainError(f"qsnr must be >= 0, got {qsnr_value}")
     if qsnr_value == 0.0:
         return math.inf

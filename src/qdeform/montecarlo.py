@@ -48,7 +48,6 @@ from .states import (
     DEFAULT_TOL,
     PhotonDistribution,
     ProbeSpec,
-    _check_normalizable,
     _fixed_support_weight_rows,
     build_distribution,
 )
@@ -69,6 +68,15 @@ _XTOL = 1e-10  # golden-section stop: final bracket width in epsilon
 _MAX_ITER = 200
 
 
+def _integer(value, name: str) -> int:
+    """value as an int by operator.index, which takes numpy integers too;
+    DomainError for anything else, such as a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CountSample:
     """Histogram of observed Fock outcomes from `shots` measurements."""
@@ -78,6 +86,8 @@ class CountSample:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("shots", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.shots <= 0:
             raise DomainError(f"shots must be positive, got {self.shots}")
         for n, mult in self.counts.items():
@@ -139,6 +149,7 @@ def _draw_counts(cdf: np.ndarray, shots: int, seed: int) -> Tuple[np.ndarray, np
 
 def sample_counts(dist: PhotonDistribution, shots: int, seed: int) -> CountSample:
     """Draw i.i.d. Fock outcomes by inverse CDF; deterministic given seed."""
+    shots, seed = _integer(shots, "shots"), _integer(seed, "seed")
     if shots <= 0:
         raise DomainError(f"shots must be positive, got {shots}")
     if seed < 0:
@@ -266,11 +277,9 @@ def _golden_section(
     that stops leaves them.  All searches start together and step together,
     so the step count is one number.  At a == b every point is a: no step
     runs, each result is a, converged, and the coarse scan, whose entries
-    all tie, does not warn.
+    all tie, does not warn.  [a, b] must be normalizable: the callers have
+    built at both ends (_bracket_support).
     """
-    # Divergent epsilons form a half-line below some threshold, and every
-    # iterate lies in [a, b], so the whole search is normalizable iff a is.
-    _check_normalizable(loglik.spec, DeformationParams(loglik.kind, a))
     count = len(loglik.terms)
     c0, d0 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     coarse = np.linspace(a, b, 9)
@@ -331,7 +340,9 @@ def _golden_section(
 
 def _bracket_support(spec: ProbeSpec, kind: DeformationKind, a: float, b: float,
                      tol: float) -> int:
-    """Outcome support certified at both bracket ends (the slower decay wins)."""
+    """Outcome support certified at both bracket ends (the slower decay wins).
+    Divergent epsilons form a half-line, so the bracket is normalizable iff
+    a is, and the build at a raises DivergenceError otherwise."""
     return max(build_distribution(spec, DeformationParams(kind, e), tol).n_max
                for e in (a, b))
 
@@ -350,7 +361,10 @@ def mle_epsilon(
     epsilon.  A coarse 9-point scan warns (but does not fail) when the
     objective looks non-unimodal; the best point found is still returned.
     """
-    a, b = sorted((float(bracket[0]), float(bracket[1])))
+    try:
+        a, b = sorted(map(float, bracket))
+    except (TypeError, ValueError):
+        raise DomainError(f"bracket must be two numbers, got {bracket!r}") from None
     loglik = _Likelihoods(spec, kind, [_counts_arrays(sample)],
                           _bracket_support(spec, kind, a, b, tol))
     (result,) = _golden_section(loglik, a, b)
@@ -385,6 +399,8 @@ def crb_benchmark(
     [-0.5, 0.5] and to where the family stays normalizable; an epsilon_true
     outside that clipped bracket raises DomainError.
     """
+    shots, replications, seed = (_integer(value, name) for value, name in (
+        (shots, "shots"), (replications, "replications"), (seed, "seed")))
     if shots <= 0:
         raise DomainError(f"shots must be positive, got {shots}")
     if replications < 2:

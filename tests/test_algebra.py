@@ -483,11 +483,11 @@ class TestLevelMemo:
         assert algebra._levels(P, [-0.0]) is not algebra._levels(P, [0.0])
         assert algebra._levels(M, [1e-3]) is not first  # first was dropped
         kept = algebra._levels(M, [1e-3])
-        info = algebra._kept_levels.cache_info()
-        rows = algebra._levels(M, [1e-3, 2e-3])  # several epsilons: fresh rows
-        assert algebra._levels(M, np.array([1e-3, 2e-3])) is not rows
-        assert algebra._kept_levels.cache_info() == info  # which leave the kept row in place
-        assert algebra._levels(M, [1e-3]) is kept
+        rows = algebra._levels(M, [1e-3, 2e-3])  # several epsilons: one rule
+        assert algebra._levels(M, np.array([1e-3, 2e-3])) is rows
+        assert algebra._kept_levels.cache_info().currsize == 1
+        assert algebra._levels(M, [1e-3]) is not kept  # the sequence evicted it
+        assert algebra._levels(M, [1e-3, 2e-3]) is not rows
 
     def test_clear_drops_the_kept_vectors(self):
         from qdeform.states import build_distribution

@@ -343,6 +343,29 @@ class TestExitCodes:
                              "--kind", "M", "--epsilon", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        # a second spec flag, even one the family does not take
+        ["fisher", "--family", "thermal", "--n-mean", "3", "--alpha-sq", "9"],
+        ["state", "thermal", "--beta", "1", "--n-mean", "3"],
+        ["benchmark", "--family", "coherent", "--shots", "10", "--reps", "2",
+         "--seed", "1"],  # no spec flag at all
+        ["fisher", "--family", "thermal", "--alpha-sq", "9"],  # another family's flag
+    ])
+    def test_one_spec_flag_of_the_family_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--kind", "M", "--epsilon", "1e-3")
+        assert (code, out) == (1, "")
+        assert "error:" in err
+
+    def test_flags_are_matched_in_full_exit_1(self, capsys):
+        # A prefix match would read --epsilon as --epsilons and sweep at 3.
+        code, out, err = run_cli(capsys, "qsnr", "--family", "coherent", "--kind", "M",
+                                 "--epsilons", "1e-3", "--n-values", "5", "--epsilon", "3")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --epsilon 3" in err
+        code, out, _ = run_cli(capsys, "state", "coherent", "--alpha", "9",
+                               "--kind", "M", "--epsilon", "0")
+        assert (code, out) == (1, "")
+
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1

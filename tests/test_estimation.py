@@ -614,6 +614,19 @@ class TestScalars:
         with pytest.raises(DomainError):
             measurements_needed(0.1, -1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan)])
+    def test_measurements_needed_rejects_nan_and_infinite_delta(self, args):
+        with pytest.raises(DomainError):
+            measurements_needed(*args)
+
+    def test_measurements_needed_is_zero_at_infinite_qsnr(self):
+        assert measurements_needed(0.1, math.inf) == 0.0
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1e-3, math.nan)])
+    def test_qsnr_rejects_nan(self, args):
+        with pytest.raises(DomainError):
+            qsnr(*args)
+
 
 class TestReport:
     def test_report_fields_consistent(self):

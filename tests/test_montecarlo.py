@@ -62,6 +62,21 @@ class TestSampling:
         with pytest.raises(DomainError, match="seed must be >= 0, got -3"):
             sample_counts(dist, 10, -3)
 
+    @pytest.mark.parametrize("shots, seed, match", [
+        (10.5, 1, "shots must be an integer, got 10.5"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_non_integer_counts_are_domain_errors(self, shots, seed, match):
+        dist = build_distribution(CoherentSpec(2.0), params(M, 1e-3))
+        with pytest.raises(DomainError, match=match):
+            sample_counts(dist, shots, seed)
+
+    def test_numpy_integer_counts_pass_on_as_ints(self):
+        dist = build_distribution(CoherentSpec(2.0), params(M, 1e-3))
+        sample = sample_counts(dist, np.int64(50), np.uint32(4))
+        assert sample == sample_counts(dist, 50, 4)
+        assert type(sample.shots) is int and type(sample.seed) is int
+
     def test_poisson_sample_mean(self):
         # empirical mean within 4 sigma, sigma = sqrt(var/shots) = sqrt(1/1e5)
         dist = build_distribution(CoherentSpec(1.0), params(M, 0.0))
@@ -89,6 +104,10 @@ class TestSampling:
             CountSample(counts={0: 3, 1: 2}, shots=6, seed=0)
         with pytest.raises(DomainError):
             CountSample(counts={}, shots=0, seed=0)
+        with pytest.raises(DomainError, match="shots must be an integer, got 3.0"):
+            CountSample(counts={0: 3}, shots=3.0, seed=0)
+        with pytest.raises(DomainError, match="seed must be an integer, got 1.5"):
+            CountSample(counts={0: 3}, shots=3, seed=1.5)
 
     def test_numpy_integers_are_outcomes(self):
         sample = CountSample(counts={np.int64(2): np.int64(3)}, shots=3, seed=0)
@@ -136,6 +155,12 @@ class TestLogLikelihood:
 
 
 class TestMle:
+    @pytest.mark.parametrize("bracket", [(0.0,), (0.0, 0.01, 0.02), (), 0.01, ("a", 0.01)])
+    def test_bracket_is_two_numbers(self, bracket):
+        sample = CountSample(counts={0: 5}, shots=5, seed=0)
+        with pytest.raises(DomainError, match="bracket must be two numbers"):
+            mle_epsilon(sample, CoherentSpec(1.0), M, bracket)
+
     def test_degenerate_bracket(self):
         sample = CountSample(counts={0: 5}, shots=5, seed=0)
         result = mle_epsilon(sample, CoherentSpec(1.0), M, (1e-3, 1e-3))
@@ -265,6 +290,13 @@ class TestCrbBenchmark:
             crb_benchmark(CoherentSpec(1.0), M, 0.0, shots=10, replications=1, seed=0)
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             crb_benchmark(CoherentSpec(1.0), M, 0.0, shots=10, replications=60, seed=-1)
+
+    @pytest.mark.parametrize("name", ["shots", "replications", "seed"])
+    def test_non_integer_counts_are_domain_errors(self, name):
+        counts = {"shots": 1000, "replications": 50, "seed": 1}
+        counts[name] += 0.5
+        with pytest.raises(DomainError, match=f"{name} must be an integer, got "):
+            crb_benchmark(CoherentSpec(5.0), M, 1e-2, **counts)
 
     def test_small_replication_warning(self):
         with pytest.warns(RuntimeWarning):
