@@ -1,8 +1,8 @@
 """Command-line surface: state construction, Fisher reports, QSNR sweeps,
 and Cramer-Rao benchmarks, emitting JSON or CSV.
 
-Each subcommand returns its document with the CSV columns and rows read
-from it; main encodes the result through serialize and writes it once.
+Each subcommand returns its document; main encodes it through serialize,
+which reads the CSV layout from the document, and writes it once.
 
 Exit codes: 0 success, 1 usage error, a closed output pipe or an
 unwritable --out, 2 domain error (including inputs too large to allocate),
@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import warnings
-from typing import Any, Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NoReturn, Optional, Sequence
 
 from . import serialize
 from .algebra import DeformationKind, DeformationParams
@@ -124,14 +124,30 @@ def _spec_from_args(parser: _Parser, args: argparse.Namespace) -> ProbeSpec:
                  + (" or --n-mean" if _takes_n_mean(cls) else ""))
 
 
-def _parse_floats(parser: _Parser, text: str, flag: str) -> List[float]:
+def _floats(text: str) -> List[float]:
+    """argparse type: a nonempty comma-separated list of floats."""
     items = [part for part in text.split(",") if part.strip()]
     if not items:
-        parser.error(f"{flag} must be a nonempty comma-separated list")
+        raise argparse.ArgumentTypeError("must be a nonempty comma-separated list")
     try:
         return [float(part) for part in items]
     except ValueError:
-        parser.error(f"could not parse {flag} value {text!r}")
+        raise argparse.ArgumentTypeError(f"could not parse {text!r}") from None
+
+
+def _eps_range(text: str) -> List[float]:
+    """argparse type: LO:HI:COUNT as COUNT log-spaced values from LO to HI."""
+    try:
+        lo_text, hi_text, count_text = text.split(":")
+        lo, hi, count = float(lo_text), float(hi_text), int(count_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be LO:HI:COUNT, got {text!r}") from None
+    if count < 1 or not (0 < lo <= hi < math.inf):
+        raise argparse.ArgumentTypeError("needs 0 < LO <= HI and COUNT >= 1")
+    if count == 1:
+        return [lo]
+    step = (math.log(hi) - math.log(lo)) / (count - 1)
+    return [math.exp(math.log(lo) + k * step) for k in range(count)]
 
 
 def build_parser() -> _Parser:
@@ -160,11 +176,13 @@ def build_parser() -> _Parser:
     p_qsnr = sub.add_parser("qsnr", help="QSNR sweep against the leading-order table")
     p_qsnr.set_defaults(run=_cmd_qsnr)
     p_qsnr.add_argument("--family", required=True, choices=list(FAMILIES))
-    p_qsnr.add_argument("--epsilons", default=None,
-                        help="comma-separated epsilon values")
-    p_qsnr.add_argument("--eps-range", default=None, metavar="LO:HI:COUNT",
-                        help="log-spaced epsilon range (alternative to --epsilons)")
-    p_qsnr.add_argument("--n-values", required=True,
+    grid = p_qsnr.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--epsilons", type=_floats,
+                      help="comma-separated epsilon values")
+    grid.add_argument("--eps-range", dest="epsilons", type=_eps_range,
+                      metavar="LO:HI:COUNT",
+                      help="log-spaced epsilon range (alternative to --epsilons)")
+    p_qsnr.add_argument("--n-values", required=True, type=_floats,
                         help="comma-separated target mean photon numbers")
     p_qsnr.add_argument("--raw-intensity", action="store_true",
                         help="treat --n-values as raw |alpha|^2 / n_T instead of "
@@ -182,69 +200,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-# What a subcommand returns: its document, and the CSV columns and rows
-# read from that document.
-_Result = Tuple[Dict[str, Any], List[str], Iterable[Mapping[str, Any]]]
-
-
-def _cmd_state(parser: _Parser, args: argparse.Namespace) -> _Result:
+def _cmd_state(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
     spec = _spec_from_args(parser, args)
     params = DeformationParams(DeformationKind(args.kind), args.epsilon)
-    doc = serialize.distribution_to_dict(build_distribution(spec, params, args.tol))
-    return doc, serialize.DISTRIBUTION_COLUMNS, serialize.distribution_rows(doc)
+    return serialize.distribution_to_dict(build_distribution(spec, params, args.tol))
 
 
-def _cmd_fisher(parser: _Parser, args: argparse.Namespace) -> _Result:
+def _cmd_fisher(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
     spec = _spec_from_args(parser, args)
     kind = DeformationKind(args.kind)
     hold = args.hold.replace("-", "_")
     report = estimation_report(spec, kind, args.epsilon, args.tol, hold)
-    doc = serialize.report_to_dict(report)
-    return doc, serialize.REPORT_COLUMNS, [doc]
+    return serialize.report_to_dict(report)
 
 
-def _parse_eps_grid(parser: _Parser, args: argparse.Namespace) -> List[float]:
-    if (args.epsilons is None) == (args.eps_range is None):
-        parser.error("give exactly one of --epsilons / --eps-range")
-    if args.epsilons is not None:
-        return _parse_floats(parser, args.epsilons, "--epsilons")
-    parts = args.eps_range.split(":")
-    if len(parts) != 3:
-        parser.error("--eps-range must be LO:HI:COUNT")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        parser.error(f"could not parse --eps-range {args.eps_range!r}")
-    if count < 1 or not (0 < lo <= hi < math.inf):
-        parser.error("--eps-range needs 0 < LO <= HI and COUNT >= 1")
-    if count == 1:
-        return [lo]
-    step = (math.log(hi) - math.log(lo)) / (count - 1)
-    return [math.exp(math.log(lo) + k * step) for k in range(count)]
-
-
-def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> _Result:
-    epsilons = _parse_eps_grid(parser, args)
-    n_values = _parse_floats(parser, args.n_values, "--n-values")
-    for n_value in n_values:
+def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
+    for n_value in args.n_values:
         if not 0.0 < n_value < math.inf:
             raise DomainError(f"--n-values must be positive and finite, got {n_value}")
     kind = DeformationKind(args.kind)
     points = []
-    for eps in epsilons:
+    for eps in args.epsilons:
         params = DeformationParams(kind, eps)
-        for n_value in n_values:
+        for n_value in args.n_values:
             spec = FAMILIES[args.family].from_mean_photon(n_value)
             if not args.raw_intensity:
                 spec = calibrate_intensity(spec, params, n_value, args.tol)
             report = estimation_report(spec, kind, eps, args.tol, hold="mean_photon")
             leading = leading_order_qsnr(family_class_of(spec), kind, eps, n_value)
             points.append((eps, n_value, report, leading))
-    doc = serialize.sweep_to_dict(args.family, kind, not args.raw_intensity, points)
-    return doc, serialize.SWEEP_COLUMNS, doc["rows"]
+    return serialize.sweep_to_dict(args.family, kind, not args.raw_intensity, points)
 
 
-def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> _Result:
+def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
     if args.shots <= 0:
         parser.error("--shots must be a positive integer")
     if args.reps <= 0:
@@ -261,17 +249,15 @@ def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> _Result:
             # line that Python's own warning format prints.
             for message in dict.fromkeys(str(w.message) for w in caught):
                 sys.stderr.write(f"qdeform: warning: {message}\n")
-    doc = serialize.benchmark_to_dict(bench, spec, kind)
-    return doc, serialize.BENCHMARK_COLUMNS, [doc]
+    return serialize.benchmark_to_dict(bench, spec, kind)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        doc, columns, rows = args.run(parser, args)
-        text = (serialize.to_json(doc) if args.format == "json"
-                else serialize.to_csv(columns, rows))
+        doc = args.run(parser, args)
+        text = serialize.to_json(doc) if args.format == "json" else serialize.to_csv(doc)
         _write_output(text, args.out)
         return EXIT_OK
     except SystemExit as exc:

@@ -309,8 +309,8 @@ def qsnr(epsilon: float, qfi: float) -> float:
     """Quantum signal-to-noise ratio eps^2 H(eps)."""
     if math.isnan(epsilon):
         raise DomainError(f"epsilon must be a number, got {epsilon}")
-    if not qfi >= 0:  # NaN too
-        raise DomainError(f"qfi must be >= 0, got {qfi}")
+    if not 0 <= qfi < math.inf:  # NaN too
+        raise DomainError(f"qfi must be finite and >= 0, got {qfi}")
     return epsilon * epsilon * qfi
 
 
@@ -349,6 +349,9 @@ def leading_order_qsnr(
         raise DomainError(
             f"family_class must be coherent/superposition/thermal, got {family_class!r}"
         ) from None
+    for name, value in (("epsilon", epsilon), ("n_mean", n_mean)):
+        if math.isnan(value):
+            raise DomainError(f"{name} must be a number, got {value}")
     try:
         return const * (epsilon * n_mean) ** power
     except OverflowError:  # (eps N)^k beyond the float range

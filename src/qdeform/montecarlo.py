@@ -68,13 +68,16 @@ _XTOL = 1e-10  # golden-section stop: final bracket width in epsilon
 _MAX_ITER = 200
 
 
-def _integer(value, name: str) -> int:
+def _count(value, name: str, least: int) -> int:
     """value as an int by operator.index, which takes numpy integers too;
-    DomainError for anything else, such as a float."""
+    DomainError for anything else, such as a float, or below `least`."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,8 @@ class CountSample:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("shots", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.shots <= 0:
-            raise DomainError(f"shots must be positive, got {self.shots}")
+        for name, least in (("shots", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         for n, mult in self.counts.items():
             try:  # operator.index takes numpy integers too
                 scorable = operator.index(n) >= 0 and operator.index(mult) > 0
@@ -149,11 +150,7 @@ def _draw_counts(cdf: np.ndarray, shots: int, seed: int) -> Tuple[np.ndarray, np
 
 def sample_counts(dist: PhotonDistribution, shots: int, seed: int) -> CountSample:
     """Draw i.i.d. Fock outcomes by inverse CDF; deterministic given seed."""
-    shots, seed = _integer(shots, "shots"), _integer(seed, "seed")
-    if shots <= 0:
-        raise DomainError(f"shots must be positive, got {shots}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    shots, seed = _count(shots, "shots", 1), _count(seed, "seed", 0)
     ns, mult = _draw_counts(_cdf(dist), shots, seed)
     return CountSample(counts=dict(zip(ns.tolist(), mult.tolist())), shots=shots, seed=seed)
 
@@ -399,14 +396,9 @@ def crb_benchmark(
     [-0.5, 0.5] and to where the family stays normalizable; an epsilon_true
     outside that clipped bracket raises DomainError.
     """
-    shots, replications, seed = (_integer(value, name) for value, name in (
-        (shots, "shots"), (replications, "replications"), (seed, "seed")))
-    if shots <= 0:
-        raise DomainError(f"shots must be positive, got {shots}")
-    if replications < 2:
-        raise DomainError(f"replications must be >= 2, got {replications}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    shots = _count(shots, "shots", 1)
+    replications = _count(replications, "replications", 2)
+    seed = _count(seed, "seed", 0)
     if replications < 50:
         warnings.warn("fewer than 50 replications: variance estimate will be noisy",
                       RuntimeWarning, stacklevel=2)

@@ -1,9 +1,10 @@
 """Documents and encodings of the public result types.
 
 A document is the dict a result is written as.  JSON writes it whole and
-CSV reads its rows from it (one row for a report or a benchmark, the
-"rows" of a QSNR sweep, one (n, prob, log_prob) row per Fock level of a
-distribution), so the two encodings cannot disagree.
+to_csv reads both its columns and its rows from it by the document's
+"type" (one (n, prob, log_prob) row per Fock level of a distribution, the
+"rows" of a QSNR sweep, the document itself as the one row of a report or
+a benchmark), so the two encodings cannot disagree.
 
 Every float in a document passes through one rule, `_finite`: a
 non-finite number becomes None, so JSON is strict (null, never Infinity
@@ -17,7 +18,8 @@ import csv
 import io
 import json
 import math
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from itertools import count
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .algebra import DeformationKind
 from .estimation import EstimationReport
@@ -30,7 +32,6 @@ __all__ = [
     "report_to_dict",
     "benchmark_to_dict",
     "sweep_to_dict",
-    "distribution_rows",
     "to_json",
     "to_csv",
     "DISTRIBUTION_COLUMNS",
@@ -46,6 +47,9 @@ BENCHMARK_COLUMNS = ["epsilon_true", "shots", "replications", "seed", "empirical
 # The keys of a sweep row, in order; sweep_to_dict builds each row from them.
 SWEEP_COLUMNS = ["epsilon", "n_target", "mean_photon", "fisher", "qfi", "qsnr",
                  "qsnr_leading", "ratio", "valid_regime"]
+# The CSV columns of each document type.
+_CSV_COLUMNS = {"photon_distribution": DISTRIBUTION_COLUMNS, "estimation_report": REPORT_COLUMNS,
+                "crb_benchmark": BENCHMARK_COLUMNS, "qsnr_sweep": SWEEP_COLUMNS}
 
 
 def _finite(x: float) -> Optional[float]:
@@ -114,12 +118,6 @@ def sweep_to_dict(family: str, kind: DeformationKind, calibrated: bool,
     }
 
 
-def distribution_rows(doc: Mapping[str, Any]) -> Iterator[Dict[str, Any]]:
-    """CSV rows of a distribution document: n, prob, log_prob per level."""
-    for n, (prob, log_prob) in enumerate(zip(doc["probs"], doc["log_probs"])):
-        yield {"n": n, "prob": prob, "log_prob": log_prob}
-
-
 def to_json(doc: Mapping[str, Any]) -> str:
     """Strict JSON text of a document (no trailing newline)."""
     return json.dumps(doc, indent=2, allow_nan=False)
@@ -134,13 +132,21 @@ def _cell(value: Any) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def to_csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
-    """CSV text: the header, then each row's cells read at `columns`.
+def to_csv(doc: Mapping[str, Any]) -> str:
+    """CSV text of a document: the header of its type's columns, then its
+    rows, each row's cells read at those columns.
 
     LF line endings; every line, the last included, ends in one.
     """
+    doc_type = doc["type"]
+    columns = _CSV_COLUMNS[doc_type]
+    if doc_type == "photon_distribution":
+        rows: Iterable[Sequence[Any]] = zip(count(), doc["probs"], doc["log_probs"])
+    else:
+        rows = ([row[c] for c in columns]
+                for row in (doc["rows"] if doc_type == "qsnr_sweep" else [doc]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    writer.writerows([_cell(value) for value in row] for row in rows)
     return buf.getvalue()

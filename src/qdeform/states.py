@@ -233,7 +233,10 @@ class ThermalSpec(_Probe):
         with np.errstate(over="ignore"):
             lnw = np.add(g[:, 1:], g[:, :-1], out=out)
             lnw -= 1.0
-            lnw *= -(self.beta / 2.0)
+            # beta, then 1/2: -(beta / 2) rounds to 0 at beta = 5e-324, and
+            # 0 * inf at an overflowed gamma would give NaN, not -inf.
+            lnw *= -self.beta
+            lnw *= 0.5
         return lnw
 
     def eps_score(self, params: DeformationParams, n_max: int) -> np.ndarray:

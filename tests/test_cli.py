@@ -145,7 +145,7 @@ class TestQsnrCommand:
                                  "--kind", "M", "--eps-range", eps_range,
                                  "--n-values", "5")
         assert code == 1 and out == ""
-        assert "--eps-range needs 0 < LO <= HI and COUNT >= 1" in err
+        assert "argument --eps-range: needs 0 < LO <= HI and COUNT >= 1" in err
 
     def test_eps_grid_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "qsnr", "--family", "coherent",
@@ -154,7 +154,18 @@ class TestQsnrCommand:
                                "--eps-range", "1e-4:1e-2:3",
                                "--n-values", "5")
         assert code == 1
-        assert "exactly one" in err
+        assert "argument --eps-range: not allowed with argument --epsilons" in err
+
+    @pytest.mark.parametrize("grid, message", [
+        ([], "one of the arguments --epsilons --eps-range is required"),
+        (["--eps-range", "1e-3:1e-2"], "argument --eps-range: must be LO:HI:COUNT"),
+    ], ids=["neither", "malformed"])
+    def test_grid_usage_errors_print_the_qsnr_usage(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "qsnr", "--family", "coherent", "--kind", "M",
+                                 *grid, "--n-values", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: qdeform qsnr ")
+        assert f"qdeform qsnr: error: {message}" in err
 
 
 class TestBenchmarkCommand:

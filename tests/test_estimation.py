@@ -591,6 +591,12 @@ class TestLeadingOrderTable:
         # (eps N)^k past the float maximum, as for N = 1e308
         assert leading_order_qsnr(family_class, kind, 1e-3, 1e308) == math.inf
 
+    @pytest.mark.parametrize("epsilon, n_mean, name", [(math.nan, 1.0, "epsilon"),
+                                                       (1e-3, math.nan, "n_mean")])
+    def test_rejects_nan(self, epsilon, n_mean, name):
+        with pytest.raises(DomainError, match=f"{name} must be a number, got nan"):
+            leading_order_qsnr("thermal", P, epsilon, n_mean)
+
 
 class TestScalars:
     def test_qsnr_zero_at_zero_eps(self):
@@ -626,6 +632,12 @@ class TestScalars:
     def test_qsnr_rejects_nan(self, args):
         with pytest.raises(DomainError):
             qsnr(*args)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_qsnr_rejects_infinite_qfi(self, epsilon):
+        # 0 * inf gave a NaN QSNR, which measurements_needed then rejected.
+        with pytest.raises(DomainError, match="qfi must be finite and >= 0, got inf"):
+            qsnr(epsilon, math.inf)
 
 
 class TestReport:

@@ -123,6 +123,31 @@ class TestSampling:
             CountSample(counts=counts, shots=3, seed=0)
 
 
+class TestCountChecks:
+    """Every count argument below its least value gets the one message."""
+
+    CALLS = {
+        "crb_benchmark": lambda c: crb_benchmark(CoherentSpec(5.0), M, 1e-2, **c),
+        "sample_counts": lambda c: sample_counts(
+            build_distribution(CoherentSpec(2.0), params(M, 1e-3)), c["shots"], c["seed"]),
+        "CountSample": lambda c: CountSample({0: 10}, c["shots"], c["seed"]),
+    }
+
+    @pytest.mark.parametrize("call, name, least", [
+        ("crb_benchmark", "shots", 1),
+        ("crb_benchmark", "replications", 2),
+        ("crb_benchmark", "seed", 0),
+        ("sample_counts", "shots", 1),
+        ("sample_counts", "seed", 0),
+        ("CountSample", "shots", 1),
+        ("CountSample", "seed", 0),
+    ])
+    def test_below_least(self, call, name, least):
+        counts = {"shots": 10, "replications": 50, "seed": 1, name: least - 1}
+        with pytest.raises(DomainError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+            self.CALLS[call](counts)
+
+
 class TestLogLikelihood:
     def test_vacuum_counts_poisson(self):
         # counts {0: M} on a Poisson(|alpha|^2) probe: ln p_0 = -|alpha|^2

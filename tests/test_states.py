@@ -126,6 +126,16 @@ class TestDivergenceGuards:
         with pytest.raises(DivergenceError):
             build_distribution(ThermalSpec(beta=1e-308), params(kind, eps))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [5e-324, 1e-323])
+    def test_thermal_beta_at_the_smallest_subnormals(self, beta):
+        # beta / 2 rounds to 0 at 5e-324, and 0 times an overflowed gamma
+        # gave NaN weights and a RuntimeWarning; those levels are -inf.
+        rows = ThermalSpec(beta=beta).log_weight_rows(M, [0.1], 10_000)
+        assert not np.isnan(rows).any() and np.isneginf(rows[0, -1])
+        with pytest.raises(DivergenceError):
+            build_distribution(ThermalSpec(beta=beta), params(M, 0.1))
+
 
 class TestNearVacuumThermal:
     """beta past ln(float max) ~ 709.78, where e^beta - 1 overflows."""
