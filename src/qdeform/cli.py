@@ -1,8 +1,11 @@
 """Command-line surface: state construction, Fisher reports, QSNR sweeps,
 and Cramer-Rao benchmarks, emitting JSON or CSV.
 
-Each subcommand returns its document; main encodes it through serialize,
-which reads the CSV layout from the document, and writes it once.
+Each subcommand takes only its parsed arguments, which carry its own parser
+(a usage error found after parsing prints that subcommand's usage), and
+returns its document; main encodes it through serialize, which reads the
+CSV layout from the document, and writes it once.  Value checks, such as
+the --shots and --reps minimums, are the library's domain errors.
 
 Exit codes: 0 success, 1 usage error, a closed output pipe or an
 unwritable --out, 2 domain error (including inputs too large to allocate),
@@ -112,15 +115,16 @@ def _add_spec_flags(parser: argparse.ArgumentParser, classes: Iterable[type]) ->
         group.add_argument(flag, type=float, help=f"for {'/'.join(families)} probes")
 
 
-def _spec_from_args(parser: _Parser, args: argparse.Namespace) -> ProbeSpec:
-    """The spec from the one spec flag given, if it is one the family takes."""
+def _spec_from_args(args: argparse.Namespace) -> ProbeSpec:
+    """The spec from the one spec flag given, if it is one the family takes;
+    else a usage error from the subcommand's own parser."""
     cls = FAMILIES[args.family]
     value = getattr(args, cls.field)
     if value is not None:
         return cls(**{cls.field: value})
     if _takes_n_mean(cls) and args.n_mean is not None:
         return cls.from_mean_photon(args.n_mean)
-    parser.error(f"family {args.family} takes {_flag(cls.field)}"
+    args.parser.error(f"family {args.family} takes {_flag(cls.field)}"
                  + (" or --n-mean" if _takes_n_mean(cls) else ""))
 
 
@@ -157,15 +161,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_state = sub.add_parser("state", help="emit a photon-number distribution")
-    p_state.set_defaults(run=_cmd_state)
     state_sub = p_state.add_subparsers(dest="family", required=True)
     for family, cls in FAMILIES.items():
         sp = state_sub.add_parser(family)
+        sp.set_defaults(run=_cmd_state, parser=sp)
         _add_spec_flags(sp, [cls])
         _add_common(sp)
 
     p_fisher = sub.add_parser("fisher", help="Fisher/QFI/QSNR report at one point")
-    p_fisher.set_defaults(run=_cmd_fisher)
+    p_fisher.set_defaults(run=_cmd_fisher, parser=p_fisher)
     p_fisher.add_argument("--family", required=True, choices=list(FAMILIES))
     _add_spec_flags(p_fisher, FAMILIES.values())
     _add_common(p_fisher)
@@ -174,7 +178,7 @@ def build_parser() -> _Parser:
                           help="family parametrization for the derivative")
 
     p_qsnr = sub.add_parser("qsnr", help="QSNR sweep against the leading-order table")
-    p_qsnr.set_defaults(run=_cmd_qsnr)
+    p_qsnr.set_defaults(run=_cmd_qsnr, parser=p_qsnr)
     p_qsnr.add_argument("--family", required=True, choices=list(FAMILIES))
     grid = p_qsnr.add_mutually_exclusive_group(required=True)
     grid.add_argument("--epsilons", type=_floats,
@@ -190,7 +194,7 @@ def build_parser() -> _Parser:
     _add_common(p_qsnr, epsilon=False)
 
     p_bench = sub.add_parser("benchmark", help="Monte Carlo Cramer-Rao benchmark")
-    p_bench.set_defaults(run=_cmd_benchmark)
+    p_bench.set_defaults(run=_cmd_benchmark, parser=p_bench)
     p_bench.add_argument("--family", required=True, choices=list(FAMILIES))
     _add_spec_flags(p_bench, FAMILIES.values())
     _add_common(p_bench)
@@ -200,21 +204,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_state(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
-    spec = _spec_from_args(parser, args)
+def _cmd_state(args: argparse.Namespace) -> Dict[str, Any]:
+    spec = _spec_from_args(args)
     params = DeformationParams(DeformationKind(args.kind), args.epsilon)
     return serialize.distribution_to_dict(build_distribution(spec, params, args.tol))
 
 
-def _cmd_fisher(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
-    spec = _spec_from_args(parser, args)
+def _cmd_fisher(args: argparse.Namespace) -> Dict[str, Any]:
+    spec = _spec_from_args(args)
     kind = DeformationKind(args.kind)
     hold = args.hold.replace("-", "_")
     report = estimation_report(spec, kind, args.epsilon, args.tol, hold)
     return serialize.report_to_dict(report)
 
 
-def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
+def _cmd_qsnr(args: argparse.Namespace) -> Dict[str, Any]:
     for n_value in args.n_values:
         if not 0.0 < n_value < math.inf:
             raise DomainError(f"--n-values must be positive and finite, got {n_value}")
@@ -232,12 +236,8 @@ def _cmd_qsnr(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
     return serialize.sweep_to_dict(args.family, kind, not args.raw_intensity, points)
 
 
-def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
-    if args.shots <= 0:
-        parser.error("--shots must be a positive integer")
-    if args.reps <= 0:
-        parser.error("--reps must be a positive integer")
-    spec = _spec_from_args(parser, args)
+def _cmd_benchmark(args: argparse.Namespace) -> Dict[str, Any]:
+    spec = _spec_from_args(args)
     kind = DeformationKind(args.kind)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -253,10 +253,9 @@ def _cmd_benchmark(parser: _Parser, args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        doc = args.run(parser, args)
+        args = build_parser().parse_args(argv)
+        doc = args.run(args)
         text = serialize.to_json(doc) if args.format == "json" else serialize.to_csv(doc)
         _write_output(text, args.out)
         return EXIT_OK

@@ -29,6 +29,9 @@ Two parametrizations of the epsilon-family are exposed via `hold`:
       maximum-likelihood search over epsilon at known intensity actually
       explores, hence what the Cramer-Rao benchmark must use.
 
+leading_order_qsnr evaluates that table.  It checks (kind, eps) by building
+DeformationParams, as every build does, and takes N finite and >= 0.
+
 calibrate_intensity solves the "mean_photon" intensity with one certified
 build per iterate, so its cost is its number of iterates.  Where |eps| N
 <= 1 (N the target), the regime of the QSNR table, it starts from the
@@ -343,15 +346,15 @@ def leading_order_qsnr(
     n_mean: float,
 ) -> float:
     """Pinned leading-order QSNR table: c (eps N)^2 for M, c (eps N)^4 for P."""
+    epsilon = DeformationParams(kind, epsilon).epsilon  # DomainError for a bad kind or eps
+    if not 0.0 <= n_mean < math.inf:  # NaN too
+        raise DomainError(f"n_mean must be finite and >= 0, got {n_mean}")
     try:
         const, power = _LEADING[(kind, family_class)]
     except KeyError:
         raise DomainError(
             f"family_class must be coherent/superposition/thermal, got {family_class!r}"
         ) from None
-    for name, value in (("epsilon", epsilon), ("n_mean", n_mean)):
-        if math.isnan(value):
-            raise DomainError(f"{name} must be a number, got {value}")
     try:
         return const * (epsilon * n_mean) ** power
     except OverflowError:  # (eps N)^k beyond the float range

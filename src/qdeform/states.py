@@ -13,7 +13,11 @@ Weights are summed in the log domain after subtracting the running max.
 Truncation is certified: once the boundary weight ratio r is below 1 (and
 the ratio sequence is non-increasing, which holds for every normalizable
 configuration of these families), the omitted mass is bounded by the
-geometric majorant w_last r/(1-r).  Distributions are normalized against
+geometric majorant w_last r/(1-r).  Entries more than e^700 below the peak
+are trimmed first; where the trim cuts a row past its peak, the majorant is
+taken through the first trimmed entry, whose mass joins the tail, since the
+last kept ratio can be far above the next (ln w = 0, -9.2, -920.6, ... for
+a thermal n_T = 5, M, eps = 99 state).  Distributions are normalized against
 the truncated sum plus that certified tail, so sum(probs) = 1 - tail_bound.
 The support is then cut back to the smallest n_max whose dropped mass
 meets tol: the dropped masses are one cumulative sum taken from the end,
@@ -360,7 +364,7 @@ def _initial_n_max(n0: float) -> int:
 
 
 def _certify(lnw_sup: np.ndarray) -> Optional[float]:
-    """Certified log tail bound beyond the last retained support weight, or
+    """Certified log tail bound beyond the last support weight passed, or
     None where the geometric majorant does not apply.
 
     It applies when the successive log-ratios are non-increasing (up to
@@ -472,10 +476,16 @@ def _build_last(spec: ProbeSpec, params: DeformationParams, tol: float,
                 top = base + above
             crossed = top < end // step  # an entry past the peak is below the threshold
         # Trim underflowed tail entries before ratio analysis, keeping the
-        # two support points that _certify needs for one ratio.
+        # two support points that _certify needs for one ratio.  A crossed
+        # row certifies through its first dropped entry, whose mass joins
+        # the tail, unless that entry is -inf (an overflowed gamma).
         last = max(top, 1)
-        trimmed = lnw[::step][: last + 1]
-        ln_tail = _certify(trimmed[checked - 1:])
+        support = lnw[::step]
+        trimmed = support[: last + 1]
+        dropped = crossed and last == top and math.isfinite(support[last + 1])
+        ln_tail = _certify(support[checked - 1: last + 1 + dropped])
+        if ln_tail is not None and dropped:
+            ln_tail = float(np.logaddexp(ln_tail, support[last + 1]))
         if ln_tail is None:
             failure = f"state sum not certifiably convergent within n_max = {HARD_CAP}"
         else:

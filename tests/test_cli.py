@@ -247,11 +247,35 @@ class TestBenchmarkCommand:
                                "--n-mean", "4", "--kind", "M",
                                "--epsilon", "5e-3", "--shots", "0",
                                "--reps", "60", "--seed", "7")
-        assert code == 1
+        assert code == 2
         assert "shots" in err
+
+    # crb_benchmark owns the count bounds; the CLI adds no check of its own.
+    @pytest.mark.parametrize("shots, reps, message", [
+        ("0", "60", "shots must be >= 1, got 0"),
+        ("1000", "0", "replications must be >= 2, got 0"),
+    ])
+    def test_count_below_its_minimum_is_a_domain_error(self, capsys, shots, reps, message):
+        code, out, err = run_cli(capsys, "benchmark", "--family", "thermal",
+                                 "--n-mean", "4", "--kind", "M", "--epsilon", "5e-3",
+                                 "--shots", shots, "--reps", reps, "--seed", "7")
+        assert code == 2 and out == ""
+        assert err == f"qdeform: domain error: {message}\n"
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, extra", [
+        ("fisher", []),
+        ("benchmark", ["--shots", "1000", "--reps", "60", "--seed", "7"]),
+    ])
+    def test_family_flag_mismatch_prints_the_subcommand_usage(self, capsys, command, extra):
+        code, out, err = run_cli(capsys, command, "--family", "thermal", "--alpha-sq", "9",
+                                 "--kind", "M", "--epsilon", "1e-3", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage: qdeform {command} ")
+        assert err.endswith(f"qdeform {command}: error: family thermal takes --beta "
+                            "or --n-mean\n")
+
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "state", "coherent", "--alpha-sq", "1",
                                "--kind", "M", "--epsilon=-1.5")

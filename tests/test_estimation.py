@@ -591,11 +591,24 @@ class TestLeadingOrderTable:
         # (eps N)^k past the float maximum, as for N = 1e308
         assert leading_order_qsnr(family_class, kind, 1e-3, 1e308) == math.inf
 
-    @pytest.mark.parametrize("epsilon, n_mean, name", [(math.nan, 1.0, "epsilon"),
-                                                       (1e-3, math.nan, "n_mean")])
-    def test_rejects_nan(self, epsilon, n_mean, name):
-        with pytest.raises(DomainError, match=f"{name} must be a number, got nan"):
+    @pytest.mark.parametrize("epsilon, n_mean, message", [
+        (math.nan, 1.0, "epsilon must be finite and > -1, got nan"),
+        (1e-3, math.nan, "n_mean must be finite and >= 0, got nan")])
+    def test_rejects_nan(self, epsilon, n_mean, message):
+        with pytest.raises(DomainError, match=message):
             leading_order_qsnr("thermal", P, epsilon, n_mean)
+
+    # DeformationParams owns the rule on (kind, eps); N must be finite, >= 0.
+    @pytest.mark.parametrize("kind, epsilon, n_mean, message", [
+        (M, -5.0, 1.0, "epsilon must be finite and > -1, got -5.0"),
+        (M, math.inf, 0.0, "epsilon must be finite and > -1, got inf"),
+        (M, 1e-3, -1.0, "n_mean must be finite and >= 0, got -1.0"),
+        (P, 0.0, math.inf, "n_mean must be finite and >= 0, got inf"),
+        ("M", 1e-3, 1.0, "kind must be a DeformationKind, got 'M'"),
+    ])
+    def test_rejects_inputs_outside_the_table(self, kind, epsilon, n_mean, message):
+        with pytest.raises(DomainError, match=message):
+            leading_order_qsnr("coherent", kind, epsilon, n_mean)
 
 
 class TestScalars:

@@ -544,6 +544,30 @@ class TestMpmathProbabilities:
             assert np.all(dist.log_probs[1::2] == -np.inf)
 
 
+class TestStronglyDeformedThermal:
+    """Thermal rows whose log-weights fall off super-geometrically, as
+    0, -9.21, -920.6, ... for n_T = 5, M, eps = 99: the last entry above
+    peak - 700 has a ratio of e^-9.2, far above the next ones, so the tail
+    is certified through the first dropped entry.  15 of these 78 states
+    were rejected as divergent when the certificate stopped at the last
+    kept entry.  The worst |p_n| error measured is 5.0e-14 relative."""
+
+    EPS = (10.0, 20.0, 30.0, 50.0, 70.0, 99.0, 120.0, 150.0, 200.0, 250.0, 300.0,
+           400.0, 500.0)
+
+    @pytest.mark.parametrize("n_mean", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_builds_match_mpmath(self, n_mean, kind):
+        spec = ThermalSpec.from_mean_photon(n_mean)
+        for eps in self.EPS:
+            dist = build_distribution(spec, params(kind, eps))
+            assert dist.tail_bound <= 1e-12
+            ref = mp_log_probs(spec, kind, eps, 3 * dist.n_max + 3)[:dist.n_max + 1]
+            p_want = np.exp([float(x) for x in ref])
+            tiny = np.finfo(float).tiny
+            assert np.all(np.abs(dist.probs - p_want) <= 1e-12 * p_want + tiny), eps
+
+
 class TestGrowthPath:
     # n_max, float.hex of tail_bound and of sum(probs), recorded before the
     # level vectors were kept between builds and before rounds that must
