@@ -9,13 +9,13 @@ measurement is
 with the score d ln p_n / d eps assembled from the analytic log-weight
 derivative d = d ln w_n / d eps that each probe family provides (eps_score
 on the spec classes); the normalization derivative enters through
-centering, which makes sum_n dp_n = 0 an exact identity (checked at run
-time).  Because the Fock basis is unaffected by the deformation,
-the QFI of these families equals F: for pure real-amplitude probes
-H = 4 sum_n (d psi_n)^2, and for Fock-diagonal mixtures H reduces to the
-same diagonal sum.  estimation_report therefore builds its distribution
-once, computes F once and reports it as H as well.  The tests compare F
-with the pure-state form, which lives in the validation module.
+centering, which makes sum_n dp_n = 0 an exact identity.  Because the
+Fock basis is unaffected by the deformation, the QFI of these families
+equals F: for pure real-amplitude probes H = 4 sum_n (d psi_n)^2, and for
+Fock-diagonal mixtures H reduces to the same diagonal sum.
+estimation_report therefore builds its distribution once, computes F once
+and reports it as H as well.  The tests compare F with the pure-state
+form, which lives in the validation module.
 
 Two parametrizations of the epsilon-family are exposed via `hold`:
 
@@ -149,17 +149,10 @@ def _masked(dist: PhotonDistribution):
 
 
 def _score_variance(pm: np.ndarray, s: np.ndarray) -> float:
-    """Var_pm[s], overwriting s (every caller hands over a new score)."""
-    mean = _dot(pm, s)
-    s -= mean
-    # dp_n = p_n * sc_n must sum to zero identically; guard the assembly,
-    # up to the rounding of the centering, which scales with the mean.
-    resid = abs(_dot(pm, s))
-    np.abs(s, out=s)
-    scale = _dot(pm, s)
-    if resid > 1e-10 * max(1.0, scale, abs(mean)):
-        raise RuntimeError(f"normalization-derivative identity violated: {resid}")
-    s *= s  # |sc|^2 has the bits of sc^2
+    """Var_pm[s] = sum_n pm_n (s_n - E_pm[s])^2: s is centred, then squared,
+    in place (every caller hands over a new score)."""
+    s -= _dot(pm, s)
+    s *= s
     return _dot(pm, s)
 
 

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 from itertools import count
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -41,9 +42,9 @@ __all__ = [
 ]
 
 DISTRIBUTION_COLUMNS = ["n", "prob", "log_prob"]
-REPORT_COLUMNS = ["epsilon", "fisher", "qfi", "qsnr", "mean_photon", "m_delta_coeff"]
-BENCHMARK_COLUMNS = ["epsilon_true", "shots", "replications", "seed", "empirical_var",
-                     "crb", "ratio", "bias", "estimable", "failed"]
+# The fields of each result, in order; the header names spec and kind.
+REPORT_COLUMNS = [f.name for f in fields(EstimationReport) if f.name not in ("spec", "kind")]
+BENCHMARK_COLUMNS = [f.name for f in fields(CrbBenchmark)]
 # The keys of a sweep row, in order; sweep_to_dict builds each row from them.
 SWEEP_COLUMNS = ["epsilon", "n_target", "mean_photon", "fisher", "qfi", "qsnr",
                  "qsnr_leading", "ratio", "valid_regime"]
