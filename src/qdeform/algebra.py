@@ -6,29 +6,27 @@ terms of q = 1 + epsilon:
   M:  a a+ - q a+ a = 1        basic q-number      [n] = (q^n - 1)/(q - 1)
   P:  a a+ - q a+ a = q^-N     symmetric q-number  [n] = (q^n - q^-n)/(q - q^-1)
 
-Everything downstream (coherent-state weights, thermal Boltzmann factors)
-is built from the per-level factors [n], their running log-product
-Delta_n = [1][2]...[n] (the deformed factorial), and the level coefficients
-gamma_n, which for both deformations coincide with [n].
+Both are [n]_{p,q} = p^(1-n) [n]_M(pq) at p = q^b, with b = 0 for M and
+b = 1 for P, so [n]_P(q) = q^(1-n) [n]_M(q^2).  With L = ln(1 + epsilon)
+each kernel is written once in b:
 
-Numerical strategy: all products are carried in the log domain (Delta_n
-grows super-factorially and overflows float64 near n ~ 170 even at
-epsilon = 0), and the removable singularity of [n] at epsilon = 0 is
-evaluated through expm1/log1p, with epsilon = 0 special-cased to the
-undeformed limits.  The epsilon-derivatives cancel near epsilon = 0 in
-closed form, so there a Taylor series takes over (dlog_q_number_values).
-The level vectors of the last (kind, epsilons) asked about are kept and
-grown by new segments only (_Levels): a calibrated point evaluates one
-epsilon at many intensities.  Every weight row reads its levels from
-_Levels, whether of one epsilon or of the many of a lockstep likelihood.
-The product forms and small-epsilon expansions that the tests check these
-values against are not part of this module.
+  ln [n] = ln|e^((1+b) n L) - 1| + b (1 - n) L - ln|epsilon (1 + b + b epsilon)|
+
+Coherent and thermal weights are built from [n] = gamma_n and the deformed
+factorial Delta_n = [1][2]...[n], carried in the log domain (Delta_n
+overflows float64 near n ~ 170 even at epsilon = 0); [n] goes through
+expm1/log1p, and at epsilon = 0 is its limit n.  Near epsilon = 0 the
+closed-form epsilon-derivatives cancel, so a Taylor series takes over
+(dlog_q_number_values).  The level rows of the last (kind, epsilons) are
+kept and grown by new segments only (_Levels).  The product forms and
+small-epsilon expansions the tests check against are not in this module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -54,6 +52,10 @@ class DeformationKind(Enum):
     M = "M"
     P = "P"
 
+    def __init__(self, value: str) -> None:
+        # the exponent b of p = q^b in [n]_{p,q}: 0 for M, 1 for P
+        self._b = {"M": 0, "P": 1}[value]
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -72,6 +74,18 @@ class DeformationParams:
         if not math.isfinite(eps) or eps <= -1.0:
             raise DomainError(f"epsilon must be finite and > -1, got {self.epsilon}")
         object.__setattr__(self, "epsilon", eps)
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int by operator.index, which takes numpy integers too;
+    DomainError for anything else, such as a float, or below `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _log_abs_expm1(x: np.ndarray) -> np.ndarray:
@@ -97,31 +111,28 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
     """ln [j] for j = start..n_max, one row per epsilon (column j = 0 holds -inf),
     written into `out` when one is given.
 
-    Every row is bit-identical to evaluating that epsilon alone: the
-    per-epsilon constants go through scalar math.log1p/math.log, and the
-    rest is elementwise.  So every entry depends on its own j and epsilon
-    only, and the columns of a call from `start` are bit for bit those of
-    a call from 0; _Levels grows its rows by such segments, each written
-    straight into the grown buffer.
+    The per-epsilon constants go through scalar math.log1p/math.log and the
+    rest is elementwise, so every entry depends on its own j and epsilon
+    only: a row has the bits of its epsilon alone, and the columns of a call
+    from `start` the bits of a call from 0.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    n_max = _count(n_max, "n_max", 0)
     eps = np.asarray(eps, dtype=float)
     if out is None:
         out = np.empty((eps.size, n_max + 1 - start))
     first = max(start, 1)
     if start < first:
         out[:, 0] = -np.inf
+    b = kind._b
     el = eps.tolist()  # scalar math on each epsilon, as on one alone
-    dens = el if kind is DeformationKind.M else [e * (2.0 + e) for e in el]
     L = np.fromiter(map(math.log1p, el), float, len(el))[:, None]
-    log_den = np.array([math.log(abs(d)) if d else 0.0 for d in dens])[:, None]
+    log_den = np.array([math.log(abs(d)) if d else 0.0
+                        for d in (e * (1 + b + b * e) for e in el)])[:, None]
     j = np.arange(first, n_max + 1, dtype=float)
     body = out[:, first - start:]
-    if kind is DeformationKind.M:
-        _log_abs_expm1(np.multiply(j, L, out=body))
-    else:
-        _log_abs_expm1(np.multiply(2.0 * j, L, out=body))
+    # j (2L) is (2j) L bit for bit: scaling by a power of two is exact
+    _log_abs_expm1(np.multiply(j, (1 + b) * L, out=body))
+    if b:
         body += (1.0 - j) * L
     body -= log_den
     if 0.0 in el:
@@ -132,19 +143,14 @@ def _log_q_rows(kind: DeformationKind, eps: np.ndarray, n_max: int,
 class _Levels:
     """gamma_j = [j] and ln Delta_j for j = 0..n, one row per epsilon of eps.
 
-    Only the rows of the last epsilons asked about are kept (_kept_levels),
-    since between the Newton iterates of a calibrated point only the
-    intensity changes.  Each vector is grown on demand by its new columns only:
-    _log_q_rows writes their ln [j] into the grown buffer from a start
-    column, gamma exponentiates them in place, and ln Delta continues each
-    row's cumulative sum from its last kept entry.  A new vector is its
-    j = 0 column, gamma_0 = ln Delta_0 = 0, so its first growth is that run
-    from column 0.
-    Every entry is elementwise or a sequential sum along its row, so each
-    row has the bits of a fresh evaluation of its epsilon alone.  The arrays
-    are read-only; the public functions return copies.  Callers in two
-    threads can at worst compute a segment twice: every array stored holds
-    the same values.
+    Only the rows of the last epsilons asked about are kept (_kept_levels):
+    between the Newton iterates of a calibrated point only the intensity
+    changes.  Each vector is grown by its new columns only (_grow): gamma
+    exponentiates their ln [j] in place, and ln Delta continues each row's
+    cumulative sum from its last kept entry.  So each row has the bits of a
+    fresh evaluation of its epsilon alone.  The arrays are read-only; the
+    public functions return copies.  Callers in two threads can at worst
+    compute a segment twice: every array stored holds the same values.
     """
 
     def __init__(self, kind: DeformationKind, eps: np.ndarray) -> None:
@@ -159,8 +165,7 @@ class _Levels:
         fill(run, last) turns that run into values, given the last kept
         column.  New rows hold the j = 0 column only, so their first growth
         runs from column 0."""
-        if n_max < 0:
-            raise DomainError("n_max must be >= 0")
+        n_max = _count(n_max, "n_max", 0)
         have = getattr(self, name)
         width = have.shape[1]
         if width > n_max:
@@ -203,25 +208,22 @@ def _kept_levels(kind: DeformationKind, eps_bytes: bytes) -> _Levels:
     return _Levels(kind, np.frombuffer(eps_bytes))
 
 
-# Taylor coefficients of K(u) = 1 + c_1 u + sum_k c_2k u^2k, the function in
-# dlog_q_number_values: c_1 = 1/2 and c_2k = B_2k / (2k)! for M, where
-# K(u) = u / (1 - e^-u); c_1 = 0 and c_2k = 4^k B_2k / (2k)! for P, where
-# K(u) = u coth u.  B_2..B_24 reach double precision for |u| < 1/2 (the
-# radii of convergence are 2 pi and pi).
+# K(u) = 1 + c_1 u + sum_k c_2k u^2k of dlog_q_number_values is u / (1 - e^-u)
+# for M and K_M(2u) - u = u coth u for P: c_1 = (1 - b)/2 and
+# c_2k = (1 + b)^2k B_2k / (2k)!.  B_2..B_24 reach double precision for
+# |u| < 1/2 (the radii of convergence are 2 pi and pi).
 _BERNOULLI_EVEN = (
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
     43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
 )
-_K_LINEAR = {DeformationKind.M: 0.5, DeformationKind.P: 0.0}
 _K_EVEN = {
-    kind: tuple((1.0 if kind is DeformationKind.M else 4.0**k) * b / math.factorial(2 * k)
-                for k, b in enumerate(_BERNOULLI_EVEN, start=1))
+    kind: tuple((1 + kind._b) ** (2 * k) * bernoulli / math.factorial(2 * k)
+                for k, bernoulli in enumerate(_BERNOULLI_EVEN, start=1))
     for kind in DeformationKind
 }
-# The series serves |epsilon| below this.  It would serve any epsilon;
-# above it the closed forms still keep 9 digits, and with them the bits
-# of every result computed there (Monte Carlo CRB ratios move by 3e-6
-# when F moves in its last bit, through the MLE bracket).
+# The series serves |epsilon| below this, though it would serve any; above
+# it the closed form keeps 9 digits and the bits of every result computed
+# there (a CRB ratio moves by 3e-6 when F moves in its last bit).
 _SERIES_EPS = 1e-3
 
 
@@ -239,19 +241,22 @@ def _k_even_sum(kind: DeformationKind, w):
 def dlog_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
     """d/d epsilon of ln [j] for j = 0..n_max (index 0 is unused, set to 0).
 
-    Both kinds give (K(jL) - K(L)) / (L (1 + eps)) with L = ln(1 + eps), which
-    the closed forms below evaluate as a difference of two O(1/eps) terms:
-    they lose about log10(1/|jL|) digits for M and twice that for P.  For
-    |eps| < 1e-3 the entries with |jL| < 1/2 are therefore summed from the
-    Taylor series of K instead, c_1 (j-1) + L (j^2 S(j^2 L^2) - S(L^2)) with
-    S(w) = sum_k c_2k w^(k-1), in which nothing cancels; eps = 0 gives the
-    limits (j-1)/2 for M and 0 for P.  At |eps| >= 1e-3 the closed forms
-    keep at least 9 digits (2.4e-10 relative for P at eps = -1e-3), and the
-    results computed there keep the bits they always had.
+    With L = ln(1 + eps) this is (K(jL) - K(L)) / (L (1 + eps)), and its
+    closed form, evaluated in this order of operations, is
+
+      (1-j) b/(1+eps) + (1+b) j/((1+eps)(1 - e^(-(1+b)jL)))
+        - (1+b)(1+b eps)/(eps (1+b+b eps)).
+
+    At b = 0 each extra factor is an exact 1 and the b term is skipped.  It
+    loses about (1 + b) log10(1/|jL|) digits to cancellation, so for
+    |eps| < 1e-3 the entries with |jL| < 1/2 are summed from the Taylor
+    series instead, c_1 (j-1) + L (j^2 S(j^2 L^2) - S(L^2)) with
+    S(w) = sum_k c_2k w^(k-1); eps = 0 gives (j-1)/2 for M and 0 for P.  At
+    |eps| >= 1e-3 the closed form keeps 9 digits (2.4e-10 relative for P at
+    eps = -1e-3), and the results computed there keep the bits they had.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    kind, eps = params.kind, params.epsilon
+    n_max = _count(n_max, "n_max", 0)
+    kind, eps, b = params.kind, params.epsilon, params.kind._b
     out = np.zeros(n_max + 1)
     j = np.arange(1, n_max + 1, dtype=float)
     L = math.log1p(eps)
@@ -260,22 +265,18 @@ def dlog_q_number_values(params: DeformationParams, n_max: int) -> np.ndarray:
         m = int(np.count_nonzero(np.abs(j * L) < 0.5))  # |jL| grows with j
         js = j[:m]
         u = js * L
-        out[1:m + 1] = (_K_LINEAR[kind] * (js - 1.0) + L * (
+        out[1:m + 1] = ((1 - b) / 2 * (js - 1.0) + L * (
             js * js * _k_even_sum(kind, u * u) - _k_even_sum(kind, L * L))) / (1.0 + eps)
     if m == n_max:
         return out
-    j = j[m:]
+    j, body = j[m:], out[m + 1:]
     with np.errstate(over="ignore"):  # q^-j overflows for eps < 0: the term tends to 0
-        if kind is DeformationKind.M:
-            u = j * L
-            out[m + 1:] = j / ((1.0 + eps) * (-np.expm1(-u))) - 1.0 / eps
-        else:
-            v = 2.0 * j * L
-            out[m + 1:] = (
-                (1.0 - j) / (1.0 + eps)
-                + 2.0 * j / ((1.0 + eps) * (-np.expm1(-v)))
-                - 2.0 * (1.0 + eps) / (eps * (2.0 + eps))
-            )
+        np.expm1(np.multiply(j, -(1 + b) * L, out=body), out=body)
+        body *= -(1.0 + eps)
+        np.divide((1 + b) * j, body, out=body)
+        if b:
+            body += (1.0 - j) * b / (1.0 + eps)
+        body -= (1 + b) * (1.0 + b * eps) / (eps * (1 + b + b * eps))
     return out
 
 
@@ -299,8 +300,7 @@ def q_number(params: DeformationParams, n: int) -> float:
     e^(ln [n]) of column n of _log_q_rows (-inf at n = 0), the gamma_n of
     every build bit for bit, and +inf where [n] exceeds the float range.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    n = _count(n, "n", 0)
     if params.epsilon == 0.0:
         return float(n)
     with np.errstate(over="ignore"):
@@ -309,6 +309,5 @@ def q_number(params: DeformationParams, n: int) -> float:
 
 def log_delta(params: DeformationParams, n: int) -> float:
     """ln Delta_n, the log of the deformed factorial; log_delta(., 0) = 0."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    n = _count(n, "n", 0)
     return float(_levels(params.kind, [params.epsilon]).log_delta(n)[0, n])

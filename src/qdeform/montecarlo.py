@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DeformationKind, DeformationParams
+from .algebra import DeformationKind, DeformationParams, _count
 from .errors import BenchmarkError, DomainError, OutOfSupportError
 from .estimation import _fisher
 from .states import (
@@ -66,18 +66,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ROW_BUDGET = 1 << 18  # array elements per kernel call
 _XTOL = 1e-10  # golden-section stop: final bracket width in epsilon
 _MAX_ITER = 200
-
-
-def _count(value, name: str, least: int) -> int:
-    """value as an int by operator.index, which takes numpy integers too;
-    DomainError for anything else, such as a float, or below `least`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -371,9 +359,10 @@ def mle_epsilon(
 
 
 def _min_admissible_epsilon(spec: ProbeSpec, kind: DeformationKind) -> float:
-    """Lower bracket clip keeping the likelihood family normalizable."""
-    if kind is DeformationKind.M:
-        return 0.0 - 0.9 / spec.m_divergence_rate  # +0.0, not -0.0, at an infinite rate
+    """Lower bracket clip keeping the likelihood family normalizable and
+    q = 1 + epsilon at 0.1 or above."""
+    if kind is DeformationKind.M:  # +0.0, not -0.0, at an infinite rate
+        return max(0.0 - 0.9 / spec.m_divergence_rate, -0.9)
     return -0.9
 
 

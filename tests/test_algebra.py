@@ -12,6 +12,7 @@ import math
 import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qdeform.algebra import (
     DeformationParams,
     _levels,
     _log_abs_expm1,
+    dgamma_values,
     dlog_delta_values,
     dlog_q_number_values,
     log_delta,
@@ -114,6 +116,39 @@ class TestQNumber:
             DeformationParams(M, -1.5)
         with pytest.raises(DomainError):
             q_number(params(M, 0.1), -1)
+
+    # A level index is an integer: a float, NaN or string is a DomainError
+    # whatever epsilon, and never a value (2.5 used to give 2.5 at eps = 0).
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", [M, P])
+    @pytest.mark.parametrize("n", [2.5, math.nan, "3", 3.0])
+    def test_level_index_must_be_an_integer(self, kind, eps, n):
+        pr = params(kind, eps)
+        for call in (lambda: q_number(pr, n), lambda: log_delta(pr, n),
+                     lambda: dlog_q_number_values(pr, n), lambda: dlog_delta_values(pr, n),
+                     lambda: dgamma_values(pr, n)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_negative_level_index(self, kind, eps):
+        pr = params(kind, eps)
+        for call in (lambda: q_number(pr, -1), lambda: log_delta(pr, -1),
+                     lambda: dlog_q_number_values(pr, -1), lambda: dlog_delta_values(pr, -1),
+                     lambda: dgamma_values(pr, -1)):
+            with pytest.raises(DomainError, match="must be >= 0, got -1"):
+                call()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, -0.3])
+    @pytest.mark.parametrize("kind", [M, P])
+    def test_numpy_integers_keep_their_results(self, kind, eps):
+        pr = params(kind, eps)
+        for n in (0, 1, 7, 40):
+            assert q_number(pr, np.int64(n)) == q_number(pr, n)
+            assert log_delta(pr, np.int64(n)) == log_delta(pr, n)
+            for f in (dlog_q_number_values, dlog_delta_values, dgamma_values):
+                assert f(pr, np.int64(n)).tobytes() == f(pr, n).tobytes()
 
 
 class TestGProduct:
@@ -416,7 +451,7 @@ class TestMpmathOracle:
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qdeform import algebra  # noqa: E402
-from qdeform.algebra import _Levels, _log_q_rows, dgamma_values  # noqa: E402
+from qdeform.algebra import _Levels, _log_q_rows  # noqa: E402
 
 SEGMENTS = settings(derandomize=True, deadline=None, database=None, max_examples=80)
 signed_eps = st.one_of(
@@ -470,6 +505,54 @@ class TestLevelSegments:
                 want = dict(zip(("log_q", "gamma", "log_delta"), one_shot(kind, e, n_max)))
                 assert row.tobytes() == want[vector].tobytes()
             assert not got.flags.writeable
+
+
+# --------------------------------------------------------------------------
+# One structure function for both kinds: [n]_P(q) = q^(1-n) [n]_M(q^2), and
+# K_P(u) = K_M(2u) - u between the series and the closed-form derivative.
+
+STRUCTURE = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+U = np.finfo(float).eps
+
+
+class TestStructureFunction:
+    @STRUCTURE
+    @given(st.one_of(st.floats(-0.999, 100.0), signed_eps), st.integers(1, 5000))
+    def test_p_is_m_at_q_squared(self, eps, n_max):
+        # ln [n]_P(eps) against (1 - n) L + ln [n]_M(eps (2 + eps)), L = ln(1 + eps).
+        # Each side sums ln|e^(2nL) - 1|, (1 - n) L and ln|eps (2 + eps)|, each
+        # rounded relative to its size; the exponential's argument 2nL carries
+        # an absolute error of order n|L| u, and so does ln [n]_M through the
+        # rounding of eps (2 + eps).  By the triangle inequality,
+        # |ln|e^(2nL) - 1|| <= |ln [n]_P| + |(1 - n) L| + |ln|eps (2 + eps)||.
+        L = math.log1p(eps)
+        j = np.arange(1, n_max + 1, dtype=float)
+        log_p = _log_q_rows(P, [eps], n_max)[0, 1:]
+        log_m = _log_q_rows(M, [eps * (2.0 + eps)], n_max)[0, 1:]
+        lead = (1.0 - j) * L
+        log_den = abs(math.log(abs(eps * (2.0 + eps)))) if eps else 0.0
+        size = np.abs(log_p) + np.abs(log_m) + 2.0 * np.abs(lead) + 2.0 * log_den \
+            + 4.0 * j * abs(L) + 2.0
+        assert np.all(np.abs(log_p - (lead + log_m)) <= 4.0 * U * size)
+
+    @STRUCTURE
+    @given(st.sampled_from([M, P]), st.sampled_from([1.0, -1.0]),
+           st.floats(0.2 * algebra._SERIES_EPS, algebra._SERIES_EPS, exclude_max=True))
+    def test_series_agrees_with_the_closed_form(self, kind, sign, size):
+        # Just below the cut both are accurate: the series to a few u of its
+        # value, the closed form to a few u of its two O((1 + b)/|eps|) terms
+        # and its (1 - j) b term, which cancel to the value.
+        eps = sign * size
+        pr, b = params(kind, eps), kind._b
+        series = dlog_q_number_values(pr, 3000)
+        with mock.patch.object(algebra, "_SERIES_EPS", 0.0):  # the closed form alone
+            closed = dlog_q_number_values(pr, 3000)
+        j = np.arange(3001, dtype=float)
+        m = int(np.count_nonzero(np.abs(j[1:] * math.log1p(eps)) < 0.5))
+        assert m > 0 and np.array_equal(series[m + 1:], closed[m + 1:])
+        js = j[1:m + 1]
+        size = (1 + b) * (js + 1.0 / abs(eps)) + np.abs(closed[1:m + 1])
+        assert np.all(np.abs(series[1:m + 1] - closed[1:m + 1]) <= 8.0 * U * size)
 
 
 class TestLevelMemo:

@@ -1,7 +1,8 @@
 """Lockstep batched MLE against the per-replication code it replaced.
 
 The reference oracle below is the one-epsilon-at-a-time implementation:
-the scalar q-number code with separate M/P and sign branches,
+the scalar q-number code and its epsilon-derivative with separate M/P and
+sign branches,
 log-probabilities built on it, a scalar golden-section search with a
 per-sample cache, and one mle fit per replication.  The
 batched path must agree with it bit for bit, not merely within tolerance.
@@ -13,9 +14,11 @@ from typing import Dict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qdeform.montecarlo as mc
-from qdeform.algebra import DeformationKind, DeformationParams, _log_q_rows
+from qdeform import algebra
+from qdeform.algebra import DeformationKind, DeformationParams, _log_q_rows, dlog_q_number_values
 from qdeform.errors import DivergenceError, OutOfSupportError
 from qdeform.estimation import estimation_report
 from qdeform.montecarlo import CrbBenchmark, MleResult, crb_benchmark, sample_counts
@@ -72,6 +75,61 @@ def ref_log_q_number_values(params, n_max):
             out[1:] = lead + ref_log_expm1(v) - math.log(den)
         else:
             out[1:] = lead + np.log(-np.expm1(v)) - math.log(-den)
+    return out
+
+
+# The Taylor coefficients of K(u) = u / (1 - e^-u) (M) and u coth u (P),
+# one table per kind.
+REF_BERNOULLI_EVEN = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
+)
+REF_K_LINEAR = {M: 0.5, P: 0.0}
+REF_K_EVEN = {
+    kind: tuple((1.0 if kind is M else 4.0**k) * b / math.factorial(2 * k)
+                for k, b in enumerate(REF_BERNOULLI_EVEN, start=1))
+    for kind in (M, P)
+}
+
+
+def ref_k_even_sum(kind, w):
+    coeffs = REF_K_EVEN[kind]
+    acc = coeffs[-1] * w
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= w
+        acc += c
+    return acc
+
+
+def ref_dlog_q_number_values(params, n_max):
+    """d ln [j] / d eps: the Taylor series of K below |eps| = 1e-3 where
+    |jL| < 1/2, else one closed form per kind."""
+    kind, eps = params.kind, params.epsilon
+    out = np.zeros(n_max + 1)
+    j = np.arange(1, n_max + 1, dtype=float)
+    L = math.log1p(eps)
+    m = 0
+    if abs(eps) < 1e-3:
+        m = int(np.count_nonzero(np.abs(j * L) < 0.5))
+        js = j[:m]
+        u = js * L
+        out[1:m + 1] = (REF_K_LINEAR[kind] * (js - 1.0) + L * (
+            js * js * ref_k_even_sum(kind, u * u) - ref_k_even_sum(kind, L * L))) / (1.0 + eps)
+    if m == n_max:
+        return out
+    j = j[m:]
+    with np.errstate(over="ignore"):
+        if kind is M:
+            u = j * L
+            out[m + 1:] = j / ((1.0 + eps) * (-np.expm1(-u))) - 1.0 / eps
+        else:
+            v = 2.0 * j * L
+            out[m + 1:] = (
+                (1.0 - j) / (1.0 + eps)
+                + 2.0 * j / ((1.0 + eps) * (-np.expm1(-v)))
+                - 2.0 * (1.0 + eps) / (eps * (2.0 + eps))
+            )
     return out
 
 
@@ -188,6 +246,29 @@ class TestKernelRows:
         rows = _log_q_rows(kind, np.array(eps), n_max)
         for row, e in zip(rows, eps):
             assert np.array_equal(row, ref_log_q_number_values(DeformationParams(kind, e), n_max))
+
+    # Every bit of the derivative rows: at and near eps = 0, on both sides of
+    # the series cut, and at eps < 0 where q^-j overflows (j L < -709).
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(kind=st.sampled_from([M, P]),
+           eps=st.one_of(
+               st.sampled_from([0.0, -0.0, 1e-12, -1e-12, algebra._SERIES_EPS,
+                                -algebra._SERIES_EPS]),
+               st.sampled_from([1.0, -1.0]).flatmap(lambda sign: st.floats(
+                   0.5 * algebra._SERIES_EPS, 2.0 * algebra._SERIES_EPS).map(
+                   lambda e: sign * e)),
+               st.floats(-0.999, -0.1),
+               st.floats(-0.999, 100.0)),
+           n_max=st.integers(0, 5000))
+    @example(kind=M, eps=-0.5, n_max=5000)
+    @example(kind=P, eps=-0.5, n_max=5000)
+    @example(kind=M, eps=math.nextafter(1e-3, 0.0), n_max=5000)
+    @example(kind=P, eps=-math.nextafter(1e-3, 0.0), n_max=5000)
+    def test_derivative_rows_equal_the_forked_forms(self, kind, eps, n_max):
+        pr = DeformationParams(kind, eps)
+        got, want = dlog_q_number_values(pr, n_max), ref_dlog_q_number_values(pr, n_max)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
 
     @pytest.mark.parametrize("n_support", [40, 333, 1200, 2000])
     @pytest.mark.parametrize("kind", [M, P])

@@ -339,6 +339,14 @@ class TestBracketHoldsTheTruth:
             crb_benchmark(CoherentSpec(2.0), kind, eps, shots=2000,
                           replications=50, seed=1)
 
+    @pytest.mark.parametrize("alpha_sq, floor", [(0.5, "-0.9"), (2.0, "-0.45")])
+    def test_message_names_an_admissible_minimum_with_q_positive(self, alpha_sq, floor):
+        # -0.9 / |alpha|^2 is -1.8 at |alpha|^2 = 0.5, where q < 0: the
+        # minimum is clipped at -0.9 as for P.
+        with pytest.raises(DomainError, match=rf"admissible minimum {floor}$"):
+            crb_benchmark(CoherentSpec(alpha_sq), M, 0.6, shots=100,
+                          replications=60, seed=1)
+
     def test_epsilon_inside_the_clipped_bracket_runs(self):
         bench = crb_benchmark(CoherentSpec(2.0), M, 0.45, shots=2000,
                               replications=50, seed=1)
